@@ -2,9 +2,9 @@
 
 Every quantitative claim of the protocol analysis is available twice: as a
 closed-form evaluator and as a seeded Monte Carlo scenario that samples the
-actual event structure (labels, arrivals, detections, dark counts, reveals,
-verification).  The test suite gates the two paths against each other at
-three standard errors.
+actual event structure (labels, device event causes from the round table of
+:func:`mdiqct.devices.round_rates`, reveals, verification).  The test suite
+gates the two paths against each other at three standard errors.
 
 Estimation is deterministic and worker-count independent: trials are split
 into fixed-size chunks, each chunk's generator is derived from
@@ -24,11 +24,15 @@ from typing import Callable, Iterable, Union
 import numpy as np
 from scipy import stats
 
+from .adversaries import MED_MODELS
 from .devices import (
+    BAND_OUTCOME,
     OUTCOME_PSI_MINUS,
     OUTCOME_PSI_PLUS,
     ChannelParams,
     DetectorParams,
+    outcome_from_code,
+    round_rates,
     sample_bsm_noisy_batch,
 )
 from .errors import ParameterError, UnknownScenarioError
@@ -46,27 +50,6 @@ from .qmath import (
 # ---------------------------------------------------------------------------
 
 
-def _dark_bracket(t_a: float, t_b: float, eta: float, d: float, extended: bool) -> float:
-    """Per-Bell-outcome probability that dark counts fake a coincidence.
-
-    Six event cases: both photons lost (two darks), one photon detected with
-    the partner lost (one dark), and three no-detection cases (two darks).
-    The extended flag adds the detected-photon / partner-arrived-undetected
-    case that the default model deliberately omits.
-    """
-    bracket = (
-        (1.0 - t_a) * (1.0 - t_b) * 2.0 * d * d
-        + t_a * (1.0 - t_b) * eta * d
-        + t_b * (1.0 - t_a) * eta * d
-        + t_a * (1.0 - t_b) * (1.0 - eta) * 2.0 * d * d
-        + t_b * (1.0 - t_a) * (1.0 - eta) * 2.0 * d * d
-        + t_a * t_b * (1.0 - eta) ** 2 * 2.0 * d * d
-    )
-    if extended:
-        bracket += 2.0 * t_a * t_b * eta * (1.0 - eta) * d
-    return bracket
-
-
 def honest_abort_closed_form(
     channel: ChannelParams, detector: DetectorParams, *, extended: bool = False
 ) -> float:
@@ -75,27 +58,19 @@ def honest_abort_closed_form(
     A genuine two-photon projection can never land on a verification zero
     cell, so only dark-count-faked coincidences abort.  A fake is uniform
     over the two Bell outcomes (factor 2) and hits a zero cell with
-    probability 1/4 under uniform labels, giving Pr = 2 · 1/4 · bracket.
+    probability 1/4 under uniform labels, giving Pr = 2 · 1/4 · (dark mass
+    per Bell outcome).
     """
-    return 0.5 * _dark_bracket(channel.t_a, channel.t_b, detector.eta, detector.dark, extended)
+    rates = round_rates(channel.t_a, channel.t_b, detector, extended)
+    return 0.5 * (rates.photon_dark + rates.dark_dark)
 
 
 def honest_abort_breakdown(
     channel: ChannelParams, detector: DetectorParams, *, extended: bool = False
 ) -> dict[str, float]:
     """Abort probability split by event cause (photon+dark vs dark+dark)."""
-    t_a, t_b = channel.t_a, channel.t_b
-    eta, d = detector.eta, detector.dark
-    photon_dark = t_a * (1.0 - t_b) * eta * d + t_b * (1.0 - t_a) * eta * d
-    if extended:
-        photon_dark += 2.0 * t_a * t_b * eta * (1.0 - eta) * d
-    dark_dark = (
-        (1.0 - t_a) * (1.0 - t_b) * 2.0 * d * d
-        + t_a * (1.0 - t_b) * (1.0 - eta) * 2.0 * d * d
-        + t_b * (1.0 - t_a) * (1.0 - eta) * 2.0 * d * d
-        + t_a * t_b * (1.0 - eta) ** 2 * 2.0 * d * d
-    )
-    return {"photon+dark": 0.5 * photon_dark, "dark+dark": 0.5 * dark_dark}
+    rates = round_rates(channel.t_a, channel.t_b, detector, extended)
+    return {"photon+dark": 0.5 * rates.photon_dark, "dark+dark": 0.5 * rates.dark_dark}
 
 
 def bsm_success_probability(
@@ -107,10 +82,8 @@ def bsm_success_probability(
     probability exactly 1/2 (each table row sums to 1 across the partner's
     four labels), independent of y.
     """
-    t_a, t_b = channel.t_a, channel.t_b
-    genuine = t_a * t_b * detector.eta**2 * 0.5
-    dark = 2.0 * _dark_bracket(t_a, t_b, detector.eta, detector.dark, extended)
-    return genuine + dark
+    rates = round_rates(channel.t_a, channel.t_b, detector, extended)
+    return rates.genuine * 0.5 + 2.0 * (rates.photon_dark + rates.dark_dark)
 
 
 def honest_abort_given_success(
@@ -125,6 +98,9 @@ def honest_abort_given_success(
     success = bsm_success_probability(channel, detector, extended=extended)
     abort = honest_abort_closed_form(channel, detector, extended=extended)
     return abort / success if success > 0.0 else 0.0
+
+
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -145,13 +121,21 @@ def sweep_distance(
     loss_coeff: float = 0.2,
     extended: bool = False,
 ) -> list[SweepPoint]:
-    """Honest-abort curve over symmetric fiber lengths l_a = l_b = L."""
+    """Honest-abort curve over symmetric fiber lengths l_a = l_b = L.
+
+    A grid of more than ``MAX_SWEEP_POINTS`` points is refused.
+    """
+    if not all(math.isfinite(v) for v in (l_min, l_max, step)):
+        raise ParameterError(f"sweep bounds and step must be finite, got {l_min}, {l_max}, {step}")
     if step <= 0.0:
         raise ParameterError(f"sweep step must be > 0, got {step}")
     if l_max < l_min:
         raise ParameterError(f"sweep needs l_min <= l_max, got {l_min} > {l_max}")
+    span = (l_max - l_min) / step + 1e-9
+    if span >= MAX_SWEEP_POINTS:  # floor(span) + 1 points
+        raise ParameterError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points; use a larger step")
     points = []
-    n_steps = int(math.floor((l_max - l_min) / step + 1e-9))
+    n_steps = int(math.floor(span))
     for i in range(n_steps + 1):
         l_km = l_min + i * step
         channel = ChannelParams(l_km, l_km, loss_coeff)
@@ -249,109 +233,104 @@ Kernel = Callable[[np.random.Generator, int, dict], tuple[int, int]]
 
 
 @lru_cache(maxsize=32)
-def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p⁺, p⁻, zero⁺, zero⁻) panels indexed by flat label pairs."""
+def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p⁺ and p⁻ by label pair, and zero-cell flags by (outcome code, label pair).
+
+    A label pair is the flat index 4·a + b of A's and B's label indices.
+    """
     table = verification_table(y)
-    p_plus = np.array(table.panel(BsmOutcome.PSI_PLUS))
-    p_minus = np.array(table.panel(BsmOutcome.PSI_MINUS))
-    zero_plus = np.zeros((4, 4), dtype=bool)
-    zero_minus = np.zeros((4, 4), dtype=bool)
-    for i, la in enumerate(ALL_LABELS):
-        for j, lb in enumerate(ALL_LABELS):
-            zero_plus[i, j] = is_zero_cell(BsmOutcome.PSI_PLUS, la, lb)
-            zero_minus[i, j] = is_zero_cell(BsmOutcome.PSI_MINUS, la, lb)
-    for arr in (p_plus, p_minus, zero_plus, zero_minus):
+    p_plus = np.array(table.panel(BsmOutcome.PSI_PLUS)).ravel()
+    p_minus = np.array(table.panel(BsmOutcome.PSI_MINUS)).ravel()
+    zero = np.zeros((3, 16), dtype=bool)  # a failure never sits on a zero cell
+    for code in (OUTCOME_PSI_PLUS, OUTCOME_PSI_MINUS):
+        for pair in range(16):
+            la, lb = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3]
+            zero[code, pair] = is_zero_cell(outcome_from_code(code), la, lb)
+    for arr in (p_plus, p_minus, zero):
         arr.setflags(write=False)
-    return p_plus, p_minus, zero_plus, zero_minus
+    return p_plus, p_minus, zero
 
 
-def _zero_cell_mask(
-    out_plus: np.ndarray, out_minus: np.ndarray, ia: np.ndarray, ib: np.ndarray, y: float
-) -> np.ndarray:
-    _, _, zero_plus, zero_minus = _label_tables(y)
-    return (out_plus & zero_plus[ia, ib]) | (out_minus & zero_minus[ia, ib])
+def _sampled_rounds(rng: np.random.Generator, n: int, p: dict) -> tuple[np.ndarray, ...]:
+    """One physical round per trial on uniform label pairs: (pair, outcome, cause)."""
+    p_plus, p_minus, _ = _label_tables(p["y"])
+    pair = rng.integers(16, size=n)
+    outcome, cause = sample_bsm_noisy_batch(
+        p_plus[pair], p_minus[pair], p["channel"], p["detector"], rng, extended=p["extended"]
+    )
+    return pair, outcome, cause
 
 
 def _kernel_honest_round_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """One physical round per trial: labels, device events, verification."""
-    y = p["y"]
-    p_plus, p_minus, _, _ = _label_tables(y)
-    ia = rng.integers(4, size=n)
-    ib = rng.integers(4, size=n)
-    outcome, _cause = sample_bsm_noisy_batch(
-        p_plus[ia, ib], p_minus[ia, ib], p["channel"], p["detector"], rng, extended=p["extended"]
-    )
-    abort = _zero_cell_mask(outcome == OUTCOME_PSI_PLUS, outcome == OUTCOME_PSI_MINUS, ia, ib, y)
-    return int(abort.sum()), n
+    pair, outcome, _cause = _sampled_rounds(rng, n, p)
+    _, _, zero = _label_tables(p["y"])
+    return int(zero[outcome, pair].sum()), n
 
 
 def _kernel_honest_round_cause(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Frequency of one event cause among successful rounds."""
-    y = p["y"]
-    p_plus, p_minus, _, _ = _label_tables(y)
-    ia = rng.integers(4, size=n)
-    ib = rng.integers(4, size=n)
-    outcome, cause = sample_bsm_noisy_batch(
-        p_plus[ia, ib], p_minus[ia, ib], p["channel"], p["detector"], rng, extended=p["extended"]
-    )
+    _pair, outcome, cause = _sampled_rounds(rng, n, p)
     success = outcome != 0
     return int((cause[success] == p["cause_code"]).sum()), int(success.sum())
 
 
+@lru_cache(maxsize=32)
+def _success_table(
+    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(per-round success probability, cumulative weights, abort flags).
+
+    Weights and flags run over the 16 × 6 successful (label pair, band)
+    cells of the round model, pair-major.
+    """
+    p_plus, p_minus, zero = _label_tables(y)
+    genuine, pd, dd, _ = round_rates(channel.t_a, channel.t_b, detector, extended)
+    success = np.column_stack([np.tile((pd, pd, dd, dd), (16, 1)), genuine * p_plus, genuine * p_minus])
+    cumulative = np.cumsum(success)
+    p_round = float(cumulative[-1]) / 16.0  # uniform pairs: 1/16 each
+    if p_round > 0.0:
+        cumulative /= cumulative[-1]
+    abort = zero[BAND_OUTCOME[:6]].T.ravel()
+    for arr in (cumulative, abort):
+        arr.setflags(write=False)
+    return p_round, cumulative, abort
+
+
 def _first_success_fields(
     rng: np.random.Generator, n: int, p: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample (label pair, outcome, abort, exhausted) of the deciding round.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample (label pair, abort, exhausted) of the deciding round.
 
     Rounds are i.i.d., so the first successful round's joint distribution is
     the single-round one conditioned on success; sampling it directly is
     exact and avoids walking geometric restart chains with tiny per-round
-    success probability.  Exhaustion (more restarts than the cap) is sampled
-    from the geometric round count.
+    success probability.  One uniform picks the (label pair, band) cell;
+    exhaustion (more restarts than the cap) is sampled from the geometric
+    round count.
     """
-    y = p["y"]
-    channel: ChannelParams = p["channel"]
-    detector: DetectorParams = p["detector"]
-    p_plus, p_minus, _, _ = _label_tables(y)
-
-    t_a, t_b, eta = channel.t_a, channel.t_b, detector.eta
-    dark_each = _dark_bracket(t_a, t_b, eta, detector.dark, p["extended"])
-    genuine = t_a * t_b * eta**2 * (p_plus + p_minus)  # per label pair
-    success_pair = genuine + 2.0 * dark_each
-    p_round = float(success_pair.mean())  # uniform pairs: 1/16 each
-    if p_round <= 0.0:
-        nan = np.full(n, -1)
-        return nan, nan, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-
-    weights = (success_pair / (16.0 * p_round)).ravel()
-    flat = rng.choice(16, size=n, p=weights)
-    ia, ib = flat >> 2, flat & 3
-
-    rounds = rng.geometric(p_round, size=n)
-    exhausted = rounds > p["max_rounds"]
-
-    u_cause = rng.random(n)
-    dark = u_cause < (2.0 * dark_each / success_pair[ia, ib])
-    u_out = rng.random(n)
-    cond_plus = np.where(
-        dark, 0.5, p_plus[ia, ib] / np.maximum(p_plus[ia, ib] + p_minus[ia, ib], 1e-300)
+    p_round, cumulative, abort_cell = _success_table(
+        p["y"], p["channel"], p["detector"], p["extended"]
     )
-    out_plus = u_out < cond_plus
-    abort = _zero_cell_mask(out_plus, ~out_plus, ia, ib, y) & ~exhausted
-    return ia, ib, abort, exhausted
+    if p_round <= 0.0:
+        return np.full(n, -1), np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+
+    cell = np.searchsorted(cumulative, rng.random(n), side="right")
+    exhausted = rng.geometric(p_round, size=n) > p["max_rounds"]
+    return cell // 6, abort_cell[cell] & ~exhausted, exhausted
 
 
 def _kernel_honest_run_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Full honest runs (restart until success); counts aborting runs."""
-    _, _, abort, _ = _first_success_fields(rng, n, p)
+    _, abort, _ = _first_success_fields(rng, n, p)
     return int(abort.sum()), n
 
 
 def _kernel_honest_coin(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Coin value over accepting honest runs; counts coin == 0."""
-    ia, _, abort, exhausted = _first_success_fields(rng, n, p)
+    pair, abort, exhausted = _first_success_fields(rng, n, p)
     accept = ~abort & ~exhausted
-    a_bit = ia & 1
+    a_bit = (pair >> 2) & 1
     b_prime = rng.integers(2, size=n)
     coin = a_bit ^ b_prime
     return int(((coin == 0) & accept).sum()), int(accept.sum())
@@ -445,9 +424,9 @@ def _kernel_alice_blinding(rng: np.random.Generator, n: int, p: dict) -> tuple[i
 
 def _kernel_table_cell(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Ideal-measurement frequencies for one label pair, conditioned on success."""
-    p_plus, p_minus, _, _ = _label_tables(p["y"])
-    pp = float(p_plus[p["index_a"], p["index_b"]])
-    pm = float(p_minus[p["index_a"], p["index_b"]])
+    p_plus, p_minus, _ = _label_tables(p["y"])
+    pair = 4 * p["index_a"] + p["index_b"]
+    pp, pm = float(p_plus[pair]), float(p_minus[pair])
     u = rng.random(n)
     got_plus = u < pp
     got_minus = (u >= pp) & (u < pp + pm)
@@ -490,6 +469,14 @@ _DEFAULT_PARAMS = {
     "sent": "plus",
     "condition": None,
 }
+# Parameters read from a closed set of values.
+_CHOICES = {
+    "med_model": MED_MODELS,
+    "outcome": ("psi-plus", "psi-minus"),
+    "count": ("success", "abort"),
+    "condition": (None, "correct", "wrong"),
+}
+_PARAM_NAMES = frozenset(_DEFAULT_PARAMS) | {"cause_code", "index_a", "index_b"} | set(_CHOICES)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -512,10 +499,15 @@ def estimate(scenario: str, *, trials: int, seed: int, workers: int = 1, **param
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    unknown = set(params) - _PARAM_NAMES
+    if unknown:
+        raise ParameterError(f"no scenario reads {sorted(unknown)}; known: {sorted(_PARAM_NAMES)}")
     merged = dict(_DEFAULT_PARAMS)
     merged.update(params)
-    if "y" in merged:
-        validate_y(merged["y"])
+    validate_y(merged["y"])
+    for key, allowed in _CHOICES.items():
+        if merged.get(key, allowed[0]) not in allowed:
+            raise ParameterError(f"{key} must be one of {allowed}, got {merged[key]!r}")
 
     sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
     if trials % CHUNK_SIZE:

@@ -3,23 +3,22 @@
 The measurement station is modeled as four gated single-photon detectors
 behind a beam splitter.  A genuine two-photon coincidence performs the ideal
 Bell projection; when one or both photons are missing, dark counts can fake a
-coincidence.  The sampler decomposes each round into explicit event cases so
-that Monte Carlo runs reproduce the closed-form honest-abort probability
-term by term.
-
-Dark-count-assisted coincidences are handled at the event level rather than
-per detector: a faked outcome is uniform over {Ψ⁺, Ψ⁻} and independent of the
-prepared labels, which makes the probability of landing in a verification
-zero cell exactly 1/4 for uniformly chosen labels.  The (1−d)² probability
-that the two uninvolved detectors stay quiet is omitted, matching the
-closed form used by the analysis module.
+coincidence, uniformly over {Ψ⁺, Ψ⁻} and independently of the prepared
+labels, so a fake lands in a verification zero cell with probability exactly
+1/4 for uniformly chosen labels.  :func:`round_rates` is the one round model:
+it splits a round into seven outcomes, {both-photons, photon+dark, dark+dark}
+× {Ψ⁺, Ψ⁻} plus failure.  The closed forms of the analysis module and every
+sampler read that table; it is a probability distribution only for dark-count
+probabilities d ≤ 1/2, so :class:`DetectorParams` refuses larger values.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,11 +54,11 @@ class ChannelParams:
         if self.loss_coeff <= 0.0:
             raise ParameterError(f"loss coefficient must be > 0, got {self.loss_coeff}")
 
-    @property
+    @cached_property
     def t_a(self) -> float:
         return transmittance(self.l_a, self.loss_coeff)
 
-    @property
+    @cached_property
     def t_b(self) -> float:
         return transmittance(self.l_b, self.loss_coeff)
 
@@ -78,8 +77,11 @@ class DetectorParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.eta <= 1.0):
             raise ParameterError(f"detector efficiency must lie in [0, 1], got {self.eta}")
-        if not (0.0 <= self.dark < 1.0):
-            raise ParameterError(f"dark count probability must lie in [0, 1), got {self.dark}")
+        if not (0.0 <= self.dark <= 0.5):
+            raise ParameterError(
+                "dark count probability must lie in [0, 1/2]: one dark count completes a Bell "
+                f"outcome with probability d and two with 2d², got {self.dark}"
+            )
 
 
 IDEAL_CHANNEL = ChannelParams(0.0, 0.0)
@@ -122,7 +124,7 @@ def sample_photon_number(source: SourceModel, rng: np.random.Generator) -> int:
 
 
 # ---------------------------------------------------------------------------
-# BSM sampling
+# The round model and the BSM samplers
 # ---------------------------------------------------------------------------
 
 class EventCause(Enum):
@@ -145,77 +147,6 @@ class BsmSample:
             raise ParameterError(f"inconsistent sample: {self.outcome} with cause {self.cause}")
 
 
-def sample_bsm_ideal(state_a: PureState, state_b: PureState, rng: np.random.Generator) -> BsmOutcome:
-    """One lossless, noiseless, unit-efficiency Bell measurement."""
-    p_plus, p_minus = bell_projection_probs(state_a, state_b)
-    u = rng.random()
-    if u < p_plus:
-        return BsmOutcome.PSI_PLUS
-    if u < p_plus + p_minus:
-        return BsmOutcome.PSI_MINUS
-    return BsmOutcome.FAILURE
-
-
-def sample_bsm_noisy(
-    state_a: PureState,
-    state_b: PureState,
-    channel: ChannelParams,
-    detector: DetectorParams,
-    rng: np.random.Generator,
-    *,
-    extended: bool = False,
-    present_a: bool = True,
-    present_b: bool = True,
-) -> BsmSample:
-    """One round of the lossy, dark-count-afflicted Bell measurement.
-
-    Event cases, sampled in order:
-
-    * both photons transmitted and detected: the ideal projection decides
-      the outcome (cause ``both-photons`` on success);
-    * exactly one photon detected while the partner photon was lost in the
-      fiber: a dark count completes a coincidence with probability d per
-      Bell outcome (cause ``photon+dark``);
-    * no photon detected: two dark counts fake a coincidence with
-      probability 2d² per Bell outcome (cause ``dark-dark``);
-    * anything else is a failure click and the round restarts.
-
-    The default model deliberately gives no dark-count completion to a
-    detected photon whose partner arrived but went undetected; pass
-    ``extended=True`` to enable that physically present case as well.
-    ``present_a``/``present_b`` mark whether the corresponding pulse carried
-    any photon at all (used by the weak-coherent flow).
-    """
-    d = detector.dark
-    arr_a = present_a and rng.random() < channel.t_a
-    det_a = arr_a and rng.random() < detector.eta
-    arr_b = present_b and rng.random() < channel.t_b
-    det_b = arr_b and rng.random() < detector.eta
-
-    if det_a and det_b:
-        outcome = sample_bsm_ideal(state_a, state_b, rng)
-        if outcome is BsmOutcome.FAILURE:
-            return BsmSample(outcome, EventCause.FAILURE)
-        return BsmSample(outcome, EventCause.BOTH_PHOTONS)
-
-    if det_a or det_b:
-        partner_lost = (det_a and not arr_b) or (det_b and not arr_a)
-        if partner_lost or extended:
-            u = rng.random()
-            if u < d:
-                return BsmSample(BsmOutcome.PSI_PLUS, EventCause.PHOTON_DARK)
-            if u < 2.0 * d:
-                return BsmSample(BsmOutcome.PSI_MINUS, EventCause.PHOTON_DARK)
-        return BsmSample(BsmOutcome.FAILURE, EventCause.FAILURE)
-
-    u = rng.random()
-    if u < 2.0 * d * d:
-        return BsmSample(BsmOutcome.PSI_PLUS, EventCause.DARK_DARK)
-    if u < 4.0 * d * d:
-        return BsmSample(BsmOutcome.PSI_MINUS, EventCause.DARK_DARK)
-    return BsmSample(BsmOutcome.FAILURE, EventCause.FAILURE)
-
-
 # Integer codes for the vectorized sampler.
 OUTCOME_FAILURE, OUTCOME_PSI_PLUS, OUTCOME_PSI_MINUS = 0, 1, 2
 CAUSE_FAILURE, CAUSE_BOTH, CAUSE_PHOTON_DARK, CAUSE_DARK_DARK = 0, 1, 2, 3
@@ -231,6 +162,106 @@ def outcome_from_code(code: int) -> BsmOutcome:
     return _OUTCOME_BY_CODE[int(code)]
 
 
+class RoundRates(NamedTuple):
+    """Probability of each event cause per Bell outcome in one round.
+
+    ``dark_cuts`` holds the upper edges of the four dark bands, the
+    thresholds every sampler compares its uniform draw against.
+    """
+
+    genuine: float
+    photon_dark: float
+    dark_dark: float
+    dark_cuts: tuple[float, float, float, float]
+
+
+@lru_cache(maxsize=256)
+def round_rates(t_a: float, t_b: float, detector: DetectorParams, extended: bool = False) -> RoundRates:
+    """The round model for photon survival probabilities t_a and t_b.
+
+    ``t_a``/``t_b`` are the fiber transmittances, or 0 for a pulse that
+    carried no photon.  Event cases, per Bell outcome:
+
+    * both photons transmitted and detected: the ideal projection decides;
+    * one photon detected while the partner photon was lost in the fiber: a
+      dark count completes a coincidence with probability d;
+    * no photon detected: two dark counts fake a coincidence with
+      probability 2d².
+
+    The default model gives no dark-count completion to a detected photon
+    whose partner arrived but went undetected; ``extended=True`` adds that
+    case.  The (1−d)² probability that the two uninvolved detectors stay
+    quiet is omitted.  A round whose ideal projection probabilities are p⁺
+    and p⁻ thus has seven outcomes, laid out as bands of the unit interval
+    in this order: photon+dark Ψ⁺ and Ψ⁻ (``photon_dark`` each), dark+dark
+    Ψ⁺ and Ψ⁻ (``dark_dark`` each), both-photons Ψ⁺ and Ψ⁻ (``genuine · p±``),
+    and failure (the rest).
+    """
+    eta, d = detector.eta, detector.dark
+    pd = (t_a * (1.0 - t_b) * eta + t_b * (1.0 - t_a) * eta) * d
+    if extended:
+        pd += 2.0 * t_a * t_b * eta * (1.0 - eta) * d
+    no_detection = (
+        (1.0 - t_a) * (1.0 - t_b)
+        + t_a * (1.0 - t_b) * (1.0 - eta)
+        + t_b * (1.0 - t_a) * (1.0 - eta)
+        + t_a * t_b * (1.0 - eta) ** 2
+    )
+    dd = no_detection * 2.0 * d * d
+    return RoundRates(t_a * t_b * eta * eta, pd, dd, (pd, pd + pd, pd + pd + dd, pd + pd + dd + dd))
+
+
+# The seven bands in table order, as samples and as integer codes.
+_BAND_SAMPLES = tuple(
+    BsmSample(outcome, cause)
+    for cause in (EventCause.PHOTON_DARK, EventCause.DARK_DARK, EventCause.BOTH_PHOTONS)
+    for outcome in (BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS)
+) + (BsmSample(BsmOutcome.FAILURE, EventCause.FAILURE),)
+BAND_OUTCOME = np.array([OUTCOME_PSI_PLUS, OUTCOME_PSI_MINUS] * 3 + [OUTCOME_FAILURE], dtype=np.int8)
+BAND_CAUSE = np.repeat(
+    np.array([CAUSE_PHOTON_DARK, CAUSE_DARK_DARK, CAUSE_BOTH, CAUSE_FAILURE], dtype=np.int8), (2, 2, 2, 1)
+)
+
+
+def sample_bsm_noisy(
+    state_a: PureState,
+    state_b: PureState,
+    channel: ChannelParams,
+    detector: DetectorParams,
+    rng: np.random.Generator,
+    *,
+    extended: bool = False,
+    present_a: bool = True,
+    present_b: bool = True,
+) -> BsmSample:
+    """One round of the lossy, dark-count-afflicted Bell measurement.
+
+    One uniform draw picks a band of the :func:`round_rates` table.  The
+    states enter only through their ideal projection probabilities, which
+    are computed when the draw lands in the both-photons band.
+    ``present_a``/``present_b`` mark whether the corresponding pulse carried
+    any photon at all (used by the weak-coherent flow); an absent pulse has
+    transmittance 0.
+    """
+    rates = round_rates(
+        channel.t_a if present_a else 0.0, channel.t_b if present_b else 0.0, detector, extended
+    )
+    cuts = rates.dark_cuts
+    u = rng.random()
+    if u < cuts[3]:
+        return _BAND_SAMPLES[bisect_right(cuts, u)]
+    if u >= cuts[3] + rates.genuine:
+        return _BAND_SAMPLES[6]
+    p_plus, p_minus = bell_projection_probs(state_a, state_b)
+    plus_cut = cuts[3] + rates.genuine * p_plus
+    return _BAND_SAMPLES[4 + bisect_right((plus_cut, plus_cut + rates.genuine * p_minus), u)]
+
+
+def sample_bsm_ideal(state_a: PureState, state_b: PureState, rng: np.random.Generator) -> BsmOutcome:
+    """One lossless, noiseless, unit-efficiency Bell measurement."""
+    return sample_bsm_noisy(state_a, state_b, IDEAL_CHANNEL, IDEAL_DETECTOR, rng).outcome
+
+
 def sample_bsm_noisy_batch(
     p_plus: np.ndarray,
     p_minus: np.ndarray,
@@ -240,49 +271,24 @@ def sample_bsm_noisy_batch(
     *,
     extended: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized version of :func:`sample_bsm_noisy` for many independent rounds.
+    """Vectorized :func:`sample_bsm_noisy` for many independent rounds.
 
     ``p_plus``/``p_minus`` give the per-round ideal projection probabilities
-    for whatever states each round carries.  Returns int8 arrays of outcome
-    and cause codes.  The event-case logic is the same as in the scalar
-    sampler; the two are cross-checked statistically in the test suite.
+    for whatever states each round carries.  Each round's uniform draw is
+    compared against the cumulative band thresholds.  Returns int8 arrays
+    of outcome and cause codes.
     """
     p_plus = np.asarray(p_plus, dtype=float)
     p_minus = np.asarray(p_minus, dtype=float)
     if p_plus.shape != p_minus.shape:
         raise ParameterError("probability arrays must have matching shapes")
-    n = p_plus.shape[0]
-    d = detector.dark
-
-    arr_a = rng.random(n) < channel.t_a
-    det_a = arr_a & (rng.random(n) < detector.eta)
-    arr_b = rng.random(n) < channel.t_b
-    det_b = arr_b & (rng.random(n) < detector.eta)
-    u = rng.random(n)
-
-    outcome = np.zeros(n, dtype=np.int8)
-    cause = np.zeros(n, dtype=np.int8)
-
-    both = det_a & det_b
-    outcome[both & (u < p_plus)] = OUTCOME_PSI_PLUS
-    outcome[both & (u >= p_plus) & (u < p_plus + p_minus)] = OUTCOME_PSI_MINUS
-    cause[both & (outcome != OUTCOME_FAILURE)] = CAUSE_BOTH
-
-    one = det_a ^ det_b
-    if extended:
-        eligible = one
-    else:
-        eligible = (det_a & ~arr_b) | (det_b & ~arr_a)
-    outcome[eligible & (u < d)] = OUTCOME_PSI_PLUS
-    outcome[eligible & (u >= d) & (u < 2.0 * d)] = OUTCOME_PSI_MINUS
-    cause[eligible & (outcome != OUTCOME_FAILURE)] = CAUSE_PHOTON_DARK
-
-    none = ~det_a & ~det_b
-    outcome[none & (u < 2.0 * d * d)] = OUTCOME_PSI_PLUS
-    outcome[none & (u >= 2.0 * d * d) & (u < 4.0 * d * d)] = OUTCOME_PSI_MINUS
-    cause[none & (outcome != OUTCOME_FAILURE)] = CAUSE_DARK_DARK
-
-    return outcome, cause
+    rates = round_rates(channel.t_a, channel.t_b, detector, extended)
+    u = rng.random(p_plus.shape[0])
+    plus_cut = rates.dark_cuts[3] + rates.genuine * p_plus
+    band = np.zeros(u.shape, dtype=np.int8)
+    for cut in (*rates.dark_cuts, plus_cut, plus_cut + rates.genuine * p_minus):
+        band += u >= cut
+    return BAND_OUTCOME[band], BAND_CAUSE[band]
 
 
 def poisson_tail_at_least_two(mu: float) -> float:
