@@ -6,8 +6,8 @@ The package splits along the natural seams of the problem:
   tables, discrimination oracles;
 * :mod:`mdiqct.devices` - fiber loss, detectors, sources, and the sampled
   Bell-state measurement;
-* :mod:`mdiqct.protocol` - the protocol state machine (main flow, fixed-pulse
-  weak-coherent variant, non-MDI baseline);
+* :mod:`mdiqct.protocol` - one driver per protocol flow (main flow, fixed-pulse
+  weak-coherent variant, non-MDI baseline); strategies enter by role;
 * :mod:`mdiqct.adversaries` - pluggable cheating strategies;
 * :mod:`mdiqct.analysis` - closed forms, the fairness solver, and the seeded
   Monte Carlo estimator;
@@ -84,62 +84,3 @@ from .qmath import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "alice_blinding_attack",
-    "alice_coherent_attack",
-    "alice_individual_attack",
-    "bob_med_attack",
-    "identity_strategy",
-    "Estimate",
-    "FairPoint",
-    "SweepPoint",
-    "cheat_alice_coherent",
-    "cheat_alice_individual",
-    "cheat_bob",
-    "estimate",
-    "honest_abort_closed_form",
-    "honest_abort_given_success",
-    "solve_fair_y",
-    "sweep_distance",
-    "ChannelParams",
-    "DetectorParams",
-    "SourceModel",
-    "sample_bsm_ideal",
-    "sample_bsm_noisy",
-    "sample_photon_number",
-    "single_photon_source",
-    "transmittance",
-    "weak_coherent_source",
-    "ConfigurationError",
-    "ExhaustionError",
-    "ParameterError",
-    "PhaseOrderError",
-    "UnknownScenarioError",
-    "Mode",
-    "RunConfig",
-    "Transcript",
-    "Verdict",
-    "ideal_config",
-    "is_zero_cell",
-    "run_baseline",
-    "run_honest",
-    "run_weak_coherent",
-    "run_with_adversary",
-    "verify",
-    "BsmOutcome",
-    "DensityMatrix",
-    "PureState",
-    "StateLabel",
-    "atvy_state",
-    "bell_projection_probs",
-    "cheating_table",
-    "commitment_density",
-    "four_state_guessing_bound",
-    "four_state_guessing_probability",
-    "helstrom_probability",
-    "minus_state",
-    "plus_state",
-    "trace_distance",
-    "verification_table",
-]

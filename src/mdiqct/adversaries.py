@@ -2,9 +2,17 @@
 
 Each strategy declares its role (which party it replaces, or whether it is a
 rigged measurement box colluding with A), the coin value it pushes toward,
-and the protocol modes it applies to.  The drivers in :mod:`mdiqct.protocol`
-call the role-specific hooks; everything a strategy may legitimately observe
-arrives through the phase-gated :class:`~mdiqct.protocol.RunView`.
+and the protocol modes it applies to.  The driver of each flow in
+:mod:`mdiqct.protocol` calls the hooks of the declared role:
+
+* ``BOB``, either flow: ``choose_b_prime`` (his measurement of A's photon);
+* ``ALICE``, MDI flow: ``prepare`` (the state sent each round), ``reveal``;
+* ``ALICE``, baseline flow: ``control_detection`` (B's recorded bit), ``reveal``;
+* ``BLACKBOX``, MDI flow: ``box_process`` (sees B's state only), ``reveal``;
+* ``HONEST``: none.
+
+Everything a strategy may legitimately observe arrives through the
+phase-gated :class:`~mdiqct.protocol.RunView`.
 
 Expected success rates at the fair point y = 0.9, ideal devices:
 
@@ -16,14 +24,12 @@ Expected success rates at the fair point y = 0.9, ideal devices:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ParameterError
-from .protocol import Mode, RunView
+from .protocol import Mode, Role, RunView
 from .qmath import (
     ALL_LABELS,
     BsmOutcome,
@@ -36,19 +42,6 @@ from .qmath import (
 )
 
 
-class Role(Enum):
-    ALICE = "alice"
-    BOB = "bob"
-    BLACKBOX = "blackbox-colluding-with-alice"
-    HONEST = "honest"
-
-
-def _validate_bit(value: int, what: str) -> int:
-    if value not in (0, 1):
-        raise ParameterError(f"{what} must be 0 or 1, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class AdversaryStrategy:
     """Common surface of every strategy; immutable after construction."""
@@ -59,7 +52,8 @@ class AdversaryStrategy:
     supported_modes: frozenset
 
     def __post_init__(self) -> None:
-        _validate_bit(self.target_coin, "target coin")
+        if self.target_coin not in (0, 1):
+            raise ParameterError(f"target coin must be 0 or 1, got {self.target_coin}")
 
 
 @dataclass(frozen=True)
@@ -189,9 +183,6 @@ class CoherentStateAlice(AdversaryStrategy):
         a = view.b_prime ^ self.target_coin
         basis = a if self.sent == "plus" else a ^ 1
         return StateLabel(basis, a)
-
-    def expected_success(self) -> float:
-        return (3.0 + 2.0 * math.sqrt(self.y * (1.0 - self.y))) / 4.0
 
 
 @dataclass(frozen=True)

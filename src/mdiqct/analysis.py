@@ -27,6 +27,9 @@ from scipy import stats
 from .adversaries import MED_MODELS
 from .devices import (
     BAND_OUTCOME,
+    CAUSE_BOTH,
+    CAUSE_DARK_DARK,
+    CAUSE_PHOTON_DARK,
     OUTCOME_PSI_MINUS,
     OUTCOME_PSI_PLUS,
     ChannelParams,
@@ -475,8 +478,18 @@ _CHOICES = {
     "outcome": ("psi-plus", "psi-minus"),
     "count": ("success", "abort"),
     "condition": (None, "correct", "wrong"),
+    "target_coin": (0, 1),
+    "index_a": (0, 1, 2, 3),
+    "index_b": (0, 1, 2, 3),
+    "cause_code": (CAUSE_BOTH, CAUSE_PHOTON_DARK, CAUSE_DARK_DARK),
 }
-_PARAM_NAMES = frozenset(_DEFAULT_PARAMS) | {"cause_code", "index_a", "index_b"} | set(_CHOICES)
+# Parameters a scenario reads that have no default.
+_REQUIRED = {
+    "honest-round-cause": ("cause_code",),
+    "table-cell": ("index_a", "index_b", "outcome"),
+    "cheating-cell": ("index_b", "outcome"),
+}
+_PARAM_NAMES = frozenset(_DEFAULT_PARAMS) | set(_CHOICES)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -502,12 +515,17 @@ def estimate(scenario: str, *, trials: int, seed: int, workers: int = 1, **param
     unknown = set(params) - _PARAM_NAMES
     if unknown:
         raise ParameterError(f"no scenario reads {sorted(unknown)}; known: {sorted(_PARAM_NAMES)}")
+    missing = [key for key in _REQUIRED.get(scenario, ()) if key not in params]
+    if missing:
+        raise ParameterError(f"scenario {scenario!r} needs {missing}")
     merged = dict(_DEFAULT_PARAMS)
     merged.update(params)
     validate_y(merged["y"])
     for key, allowed in _CHOICES.items():
         if merged.get(key, allowed[0]) not in allowed:
             raise ParameterError(f"{key} must be one of {allowed}, got {merged[key]!r}")
+    if not merged["max_rounds"] >= 1:
+        raise ParameterError(f"max_rounds must be >= 1, got {merged['max_rounds']}")
 
     sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
     if trials % CHUNK_SIZE:
@@ -533,13 +551,18 @@ def estimate(scenario: str, *, trials: int, seed: int, workers: int = 1, **param
     return Estimate(mean=mean, stderr=stderr, trials=den, seed=seed)
 
 
-def closed_form_for_attack(name: str, y: float) -> float:
-    """The analytic benchmark matching each attack scenario."""
+def closed_form_for_attack(name: str, y: float, med_model: str = "basis-flip") -> float:
+    """The analytic benchmark matching each attack scenario and rigged-box error model."""
+    if med_model not in MED_MODELS:
+        raise ParameterError(f"med_model must be one of {MED_MODELS}, got {med_model!r}")
     if name == "bob-med":
         return cheat_bob(y)
     if name == "alice-coherent":
         return cheat_alice_coherent(y)
     if name == "alice-individual":
+        if med_model == "projective":
+            validate_y(y)
+            return 0.75 + y * (1.0 - y) / 2.0
         return cheat_alice_individual()
     if name == "alice-blinding":
         return 1.0

@@ -107,7 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dark", type=float, default=None)
     p_run.add_argument("--extended", action="store_true", default=None)
     p_run.add_argument("--mode", choices=[m.value for m in protocol.Mode], default=None)
-    p_run.add_argument("--adversary", choices=adversaries.STRATEGY_NAMES, default=None)
+    p_run.add_argument(
+        "--adversary", choices=adversaries.STRATEGY_NAMES, default=None,
+        help="bob-med, alice-individual and alice-coherent need ideal devices: --eta 1 --dark 0",
+    )
     p_run.add_argument("--target-coin", dest="target_coin", type=int, choices=(0, 1), default=None)
     p_run.add_argument("--k-pulses", dest="k_pulses", type=int, default=None)
     p_run.add_argument("--mu", type=float, default=None)
@@ -356,14 +359,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
     if int(opts["trials"]) < 1:
         raise ParameterError(f"trials must be >= 1, got {opts['trials']}")
     config = _build_run_config(opts)
-    name = opts["adversary"]
     strategy = None
-    if name != "none":
-        strategy = adversaries.by_name(name, y=config.y, target_coin=int(opts["target_coin"]))
-        if config.mode not in strategy.supported_modes:
-            raise ConfigurationError(
-                f"strategy {name!r} does not apply to mode {config.mode.value!r}"
-            )
+    if opts["adversary"] != "none":
+        strategy = adversaries.by_name(opts["adversary"], y=config.y, target_coin=int(opts["target_coin"]))
     rng = np.random.default_rng(int(opts["seed"]))
     lines = []
     for _ in range(int(opts["trials"])):
@@ -386,21 +384,12 @@ def _cmd_attack(args: argparse.Namespace) -> str:
     y = float(opts["y"])
     target = int(opts["target_coin"])
     scenario_params: dict = {"y": y, "target_coin": target}
-    if name == "none":
-        scenario = "honest-coin"
-        scenario_params.update(
-            {"channel": ChannelParams(), "detector": DetectorParams(), "extended": False}
-        )
-    elif name == "bob-med":
-        scenario = "bob-med"
-    elif name == "alice-individual":
-        scenario = "alice-individual"
+    if name == "alice-individual":
         scenario_params["med_model"] = opts["med_model"]
     elif name == "alice-coherent":
-        scenario = "alice-coherent"
         scenario_params["sent"] = opts["sent"]
-    else:  # alice-blinding
-        scenario = "alice-blinding"
+    # "none" is honest play, on the estimator's default ideal devices.
+    scenario = "honest-coin" if name == "none" else name
     est = analysis.estimate(
         scenario,
         trials=int(opts["trials"]),
@@ -408,9 +397,7 @@ def _cmd_attack(args: argparse.Namespace) -> str:
         workers=int(opts["workers"]),
         **scenario_params,
     )
-    closed = analysis.closed_form_for_attack(name, y)
-    if name == "alice-individual" and opts["med_model"] == "projective":
-        closed = 0.75 + y * (1.0 - y) / 2.0
+    closed = analysis.closed_form_for_attack(name, y, med_model=opts["med_model"])
     doc = {
         "command": "attack",
         "adversary": name,

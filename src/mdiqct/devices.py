@@ -32,11 +32,13 @@ def transmittance(length_km: float, loss_coeff_db_per_km: float = DEFAULT_LOSS_C
     """Survival probability of a photon over a fiber of the given length.
 
     t = 10^(−coeff·L/10); at the default 0.2 dB/km this is 10^(−0.02 L).
+    An infinite length gives t = 0; a NaN input or an infinite coefficient
+    is refused (each check is written so that NaN fails it).
     """
-    if length_km < 0.0:
+    if not length_km >= 0.0:
         raise ParameterError(f"fiber length must be >= 0, got {length_km}")
-    if loss_coeff_db_per_km <= 0.0:
-        raise ParameterError(f"loss coefficient must be > 0, got {loss_coeff_db_per_km}")
+    if not 0.0 < loss_coeff_db_per_km < math.inf:
+        raise ParameterError(f"loss coefficient must be finite and > 0, got {loss_coeff_db_per_km}")
     return 10.0 ** (-(loss_coeff_db_per_km / 10.0) * length_km)
 
 
@@ -49,10 +51,8 @@ class ChannelParams:
     loss_coeff: float = DEFAULT_LOSS_COEFF_DB_PER_KM
 
     def __post_init__(self) -> None:
-        if self.l_a < 0.0 or self.l_b < 0.0:
-            raise ParameterError(f"fiber lengths must be >= 0, got {self.l_a}, {self.l_b}")
-        if self.loss_coeff <= 0.0:
-            raise ParameterError(f"loss coefficient must be > 0, got {self.loss_coeff}")
+        for length in (self.l_a, self.l_b):
+            transmittance(length, self.loss_coeff)  # refuses what it cannot evaluate
 
     @cached_property
     def t_a(self) -> float:
@@ -201,12 +201,9 @@ def round_rates(t_a: float, t_b: float, detector: DetectorParams, extended: bool
     pd = (t_a * (1.0 - t_b) * eta + t_b * (1.0 - t_a) * eta) * d
     if extended:
         pd += 2.0 * t_a * t_b * eta * (1.0 - eta) * d
-    no_detection = (
-        (1.0 - t_a) * (1.0 - t_b)
-        + t_a * (1.0 - t_b) * (1.0 - eta)
-        + t_b * (1.0 - t_a) * (1.0 - eta)
-        + t_a * t_b * (1.0 - eta) ** 2
-    )
+    # Neither photon detected; as a product of two factors in [0, 1] it cannot
+    # round above 1, which at d = 1/2 would leave a negative failure band.
+    no_detection = (1.0 - t_a * eta) * (1.0 - t_b * eta)
     dd = no_detection * 2.0 * d * d
     return RoundRates(t_a * t_b * eta * eta, pd, dd, (pd, pd + pd, pd + pd + dd, pd + pd + dd + dd))
 

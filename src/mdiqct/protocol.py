@@ -1,4 +1,4 @@
-"""The coin-tossing protocol state machine.
+"""The coin-tossing protocol: one driver per flow, strategies plugged in by role.
 
 One run of the main (measurement-device-independent) flow:
 
@@ -11,15 +11,19 @@ One run of the main (measurement-device-independent) flow:
 5. B accepts unless the (outcome, revealed, own-label) triple sits on a
    zero cell of the verification table; on accept the coin is x = a ⊕ b′.
 
-The black box interface receives only quantum states and emits only an
-outcome: B's classical label never flows into it.  Strategies observe the
-run through a phase-gated view, so reading b′ before step 3 has fixed it
-raises instead of leaking.
-
 Also provided: the fixed-pulse-count variant for weak-coherent sources, and
 a deliberately simplified non-MDI baseline flow (B measures in a random
 basis himself) used to demonstrate the detector-control attack that the
 MDI design removes.
+
+Each flow has one driver for steps 1–2; steps 3–5 are written once for all
+of them.  A cheating strategy plays one party: it declares a :class:`Role`,
+and the driver calls that role's hooks, listed in :mod:`mdiqct.adversaries`.
+
+The black box interface receives only quantum states and emits only an
+outcome: B's classical label never flows into it.  Strategies observe the
+run through a phase-gated view, so reading b′ before step 3 has fixed it
+raises instead of leaking.
 """
 from __future__ import annotations
 
@@ -56,6 +60,15 @@ class Mode(Enum):
     MDI = "mdi"
     MDI_WEAK_COHERENT = "mdi-weak-coherent"
     BASELINE = "baseline"
+
+
+class Role(Enum):
+    """Which party a strategy plays, or a measurement box colluding with A."""
+
+    ALICE = "alice"
+    BOB = "bob"
+    BLACKBOX = "blackbox-colluding-with-alice"
+    HONEST = "honest"
 
 
 class Verdict(Enum):
@@ -197,48 +210,39 @@ def ideal_config(y: float = 0.9, mode: Mode = Mode.MDI, max_rounds: int = DEFAUL
 # Phase-gated view for strategies
 # ---------------------------------------------------------------------------
 
-_UNSET = object()
-
-
 class RunView:
     """What an adversary may observe, released phase by phase.
 
-    Attribute access before the protocol has fixed the value raises
-    :class:`PhaseOrderError`; a strategy structurally cannot condition its
-    early moves on later messages.
+    The driver fills each slot once the protocol has fixed its value; reading
+    it earlier raises :class:`PhaseOrderError`, so a strategy structurally
+    cannot condition its early moves on later messages.
     """
 
     __slots__ = ("_outcome", "_b_prime", "_box_message", "_detection_record")
 
-    def __init__(self) -> None:
-        self._outcome = _UNSET
-        self._b_prime = _UNSET
-        self._box_message = _UNSET
-        self._detection_record = _UNSET
-
-    @staticmethod
-    def _get(value, name: str):
-        if value is _UNSET:
-            raise PhaseOrderError(f"{name} is not available in this protocol phase")
-        return value
+    def _get(self, slot: str, name: str):
+        try:
+            return getattr(self, slot)
+        except AttributeError:  # the slot is not filled yet
+            raise PhaseOrderError(f"{name} is not available in this protocol phase") from None
 
     @property
     def announced_outcome(self) -> BsmOutcome:
-        return self._get(self._outcome, "announced_outcome")
+        return self._get("_outcome", "announced_outcome")
 
     @property
     def b_prime(self) -> int:
-        return self._get(self._b_prime, "b_prime")
+        return self._get("_b_prime", "b_prime")
 
     @property
     def box_message(self):
         """Classical side information smuggled out of a colluding black box."""
-        return self._get(self._box_message, "box_message")
+        return self._get("_box_message", "box_message")
 
     @property
     def detection_record(self):
         """Basis/outcome pair leaked by a controlled detector (baseline only)."""
-        return self._get(self._detection_record, "detection_record")
+        return self._get("_detection_record", "detection_record")
 
 
 BlackBox = Callable[[PureState, PureState, np.random.Generator], BsmSample]
@@ -263,56 +267,126 @@ def _uniform_label(rng: np.random.Generator) -> StateLabel:
 
 
 # ---------------------------------------------------------------------------
-# Honest runs
+# Steps 3–5, shared by every flow
 # ---------------------------------------------------------------------------
+
+class _Run:
+    """One execution in progress; ``strategy`` is None for honest play.
+
+    Party randomness (labels, b′) and device noise come from separate child
+    streams so that device-model changes do not shift the parties' choices.
+    """
+
+    __slots__ = ("config", "strategy", "role", "view", "party_rng", "device_rng")
+
+    def __init__(self, config: RunConfig, strategy, rng: np.random.Generator) -> None:
+        self.config = config
+        self.strategy = strategy
+        self.role = Role.HONEST if strategy is None else strategy.role
+        self.view = RunView()
+        self.party_rng, self.device_rng = rng.spawn(2)
+
+    def finish(
+        self,
+        rounds: int,
+        outcome: Optional[BsmOutcome],
+        alice: Optional[StateLabel],
+        bob: Optional[StateLabel],
+        cause: Optional[str],
+        **record,
+    ) -> Transcript:
+        """Steps 3–5: b′, A's reveal, B's check, and the coin.
+
+        ``alice`` is None when a strategy plays A: she reveals whatever fits
+        b′.  ``bob`` is None when a strategy plays B: he steers b′ from his
+        measurement of A's photon and, being the verifier, never aborts.
+        ``outcome`` is None in the baseline flow, which has no box.
+        """
+        view, strategy = self.view, self.strategy
+        if self.role is Role.BOB:
+            alice_state = state_for_label(alice, self.config.y)
+            b_prime, guessed_bit = strategy.choose_b_prime(view, alice_state, self.device_rng)
+            cause = "med-correct" if guessed_bit == alice.bit else "med-wrong"
+        else:
+            b_prime = int(self.party_rng.integers(2))
+        view._b_prime = b_prime
+        revealed = alice if alice is not None else strategy.reveal(view, self.device_rng)
+
+        if bob is None:
+            verdict = Verdict.ACCEPT
+        elif outcome is None:  # baseline: B measured A's photon himself
+            caught = bob.basis == revealed.basis and bob.bit != revealed.bit
+            verdict = Verdict.ABORT if caught else Verdict.ACCEPT
+        else:
+            verdict = verify(outcome, revealed, bob, self.config.y)
+        coin = (revealed.bit ^ b_prime) if verdict is Verdict.ACCEPT else None
+        return Transcript(
+            rounds=rounds,
+            outcome=outcome,
+            bob_label=bob,
+            bob_random_bit=b_prime,
+            revealed_label=revealed,
+            verdict=verdict,
+            coin=coin,
+            cause=cause,
+            adversary_success=(
+                None if self.role is Role.HONEST
+                else verdict is Verdict.ACCEPT and coin == strategy.target_coin
+            ),
+            **record,
+        )
+
+
+# ---------------------------------------------------------------------------
+# The MDI flow
+# ---------------------------------------------------------------------------
+
+def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator, box: Optional[BlackBox] = None) -> Transcript:
+    """Steps 1–2 of the main flow, then the shared steps 3–5.
+
+    Honest A draws a label and sends its state; in role ``ALICE`` she sends
+    whatever ``prepare`` returns.  In role ``BLACKBOX`` her own rigged box
+    replaces the projection: ``box_process`` receives B's state, never his
+    label, announces an outcome and smuggles a guess of B's label to A.
+    """
+    run = _Run(config, strategy, rng)
+    party_rng, device_rng, view, y = run.party_rng, run.device_rng, run.view, config.y
+    if run.role is Role.BLACKBOX:
+        # The rigged box always announces a Bell outcome, so no round fails.
+        bob = _uniform_label(party_rng)
+        outcome, guess = strategy.box_process(view, state_for_label(bob, y), device_rng)
+        view._outcome = outcome
+        view._box_message = guess
+        return run.finish(1, outcome, None, bob, "med-correct" if guess == bob else "med-wrong")
+
+    box = box or _honest_box(config)
+    prepare = strategy.prepare if run.role is Role.ALICE else None
+    alice = None
+    for rounds in range(1, config.max_rounds + 1):
+        if prepare is None:
+            alice = _uniform_label(party_rng)
+            state_a = state_for_label(alice, y)
+        else:
+            state_a = prepare(view, device_rng)
+        bob = _uniform_label(party_rng)
+        sample = box(state_a, state_for_label(bob, y), device_rng)
+        if sample.outcome is not BsmOutcome.FAILURE:
+            break
+    else:
+        raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
+    view._outcome = sample.outcome
+    return run.finish(rounds, sample.outcome, alice, bob, sample.cause.value)
+
 
 def run_honest(
     config: RunConfig,
     rng: np.random.Generator,
     box: Optional[BlackBox] = None,
 ) -> Transcript:
-    """One honest execution of the main flow.
-
-    Party randomness (labels, b′) and device noise come from separate child
-    streams of ``rng`` so that device-model changes do not shift the
-    parties' choices under a fixed seed.
-    """
+    """One honest execution of the main flow, restarting on failure clicks."""
     if config.mode is not Mode.MDI:
         raise ConfigurationError(f"run_honest requires mdi mode, got {config.mode.value}")
-    party_rng, device_rng = rng.spawn(2)
-    box = box or _honest_box(config)
-
-    sample: Optional[BsmSample] = None
-    alice = bob = None
-    rounds = 0
-    for rounds in range(1, config.max_rounds + 1):
-        alice = _uniform_label(party_rng)
-        bob = _uniform_label(party_rng)
-        candidate = box(
-            state_for_label(alice, config.y),
-            state_for_label(bob, config.y),
-            device_rng,
-        )
-        if candidate.outcome is not BsmOutcome.FAILURE:
-            sample = candidate
-            break
-    if sample is None:
-        raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
-
-    b_prime = int(party_rng.integers(2))
-    revealed = alice  # honest A reveals her true label
-    verdict = verify(sample.outcome, revealed, bob, config.y)
-    coin = (revealed.bit ^ b_prime) if verdict is Verdict.ACCEPT else None
-    return Transcript(
-        rounds=rounds,
-        outcome=sample.outcome,
-        bob_label=bob,
-        bob_random_bit=b_prime,
-        revealed_label=revealed,
-        verdict=verdict,
-        coin=coin,
-        cause=sample.cause.value,
-    )
+    return _run_mdi(config, None, rng, box)
 
 
 def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript:
@@ -327,7 +401,8 @@ def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript
     """
     if config.mode is not Mode.MDI_WEAK_COHERENT:
         raise ConfigurationError(f"run_weak_coherent requires weak-coherent mode, got {config.mode.value}")
-    party_rng, device_rng = rng.spawn(2)
+    run = _Run(config, None, rng)
+    party_rng, device_rng = run.party_rng, run.device_rng
     k = int(config.k_pulses)
 
     multiphoton: list[int] = []
@@ -364,27 +439,15 @@ def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript
             cause="no-bsm-success",
             multiphoton_slots=tuple(multiphoton),
         )
-
     slot, sample, alice, bob = first
-    b_prime = int(party_rng.integers(2))
-    verdict = verify(sample.outcome, alice, bob, config.y)
-    coin = (alice.bit ^ b_prime) if verdict is Verdict.ACCEPT else None
-    return Transcript(
-        rounds=slot,
-        outcome=sample.outcome,
-        bob_label=bob,
-        bob_random_bit=b_prime,
-        revealed_label=alice,
-        verdict=verdict,
-        coin=coin,
-        cause=sample.cause.value,
-        pulse_index=slot,
-        multiphoton_slots=tuple(multiphoton),
+    return run.finish(
+        slot, sample.outcome, alice, bob, sample.cause.value,
+        pulse_index=slot, multiphoton_slots=tuple(multiphoton),
     )
 
 
 # ---------------------------------------------------------------------------
-# Baseline (non-MDI) flow
+# The baseline (non-MDI) flow
 # ---------------------------------------------------------------------------
 
 def _measure_in_basis(state: PureState, basis: int, y: float, rng: np.random.Generator) -> int:
@@ -393,11 +456,7 @@ def _measure_in_basis(state: PureState, basis: int, y: float, rng: np.random.Gen
     return 0 if rng.random() < p0 else 1
 
 
-def run_baseline(
-    config: RunConfig,
-    strategy=None,
-    rng: Optional[np.random.Generator] = None,
-) -> Transcript:
+def _run_baseline(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
     """Simplified direct-measurement flow used to stage detector attacks.
 
     A sends her state straight to B, who measures in a uniformly random
@@ -405,19 +464,20 @@ def run_baseline(
     B aborts iff he measured in A's basis and recorded the orthogonal bit.
     This check is a deliberate simplification: it is just strong enough to
     show that a detector-controlling A evades it completely while the MDI
-    flow gives her no such handle.
+    flow gives her no such handle.  In role ``ALICE`` she owns B's
+    detection: ``control_detection`` fixes the recorded bit, and she learns
+    it together with B's basis.
     """
-    if rng is None:
-        raise ParameterError("run_baseline requires a random generator")
-    if config.mode is not Mode.BASELINE:
-        raise ConfigurationError(f"run_baseline requires baseline mode, got {config.mode.value}")
-    if strategy is not None:
-        return _dispatch_baseline_adversary(config, strategy, rng)
-    party_rng, device_rng = rng.spawn(2)
+    run = _Run(config, strategy, rng)
+    party_rng, device_rng = run.party_rng, run.device_rng
+    if run.role is Role.ALICE:
+        # Every controlled detection succeeds, so no round is resent.
+        bob_basis = int(party_rng.integers(2))
+        recorded = run.strategy.control_detection(run.view, bob_basis, device_rng)
+        run.view._detection_record = (bob_basis, recorded)
+        return run.finish(1, None, None, StateLabel(bob_basis, recorded), "controlled-detection")
 
     detect_prob = config.channel.t_a * config.detector.eta
-    alice = bob_basis = recorded = None
-    rounds = 0
     for rounds in range(1, config.max_rounds + 1):
         alice = _uniform_label(party_rng)
         bob_basis = int(party_rng.integers(2))
@@ -426,231 +486,79 @@ def run_baseline(
                 state_for_label(alice, config.y), bob_basis, config.y, device_rng
             )
             break
-    if recorded is None:
+    else:
         raise ExhaustionError(f"no detection within {config.max_rounds} rounds")
+    return run.finish(rounds, None, alice, StateLabel(bob_basis, recorded), "baseline-detection")
 
-    b_prime = int(party_rng.integers(2))
-    revealed = alice
-    caught = bob_basis == revealed.basis and recorded != revealed.bit
-    verdict = Verdict.ABORT if caught else Verdict.ACCEPT
-    coin = (revealed.bit ^ b_prime) if verdict is Verdict.ACCEPT else None
-    return Transcript(
-        rounds=rounds,
-        outcome=None,
-        bob_label=StateLabel(bob_basis, recorded),
-        bob_random_bit=b_prime,
-        revealed_label=revealed,
-        verdict=verdict,
-        coin=coin,
-        cause="baseline-detection",
-    )
+
+def run_baseline(
+    config: RunConfig,
+    strategy=None,
+    rng: Optional[np.random.Generator] = None,
+) -> Transcript:
+    """One run of the baseline flow, honest or with ``strategy`` playing a party."""
+    if rng is None:
+        raise ParameterError("run_baseline requires a random generator")
+    if config.mode is not Mode.BASELINE:
+        raise ConfigurationError(f"run_baseline requires baseline mode, got {config.mode.value}")
+    if strategy is not None:
+        return run_with_adversary(config, strategy, rng)
+    return _run_baseline(config, None, rng)
 
 
 # ---------------------------------------------------------------------------
-# Adversarial runs
+# Dishonest B, in either flow
 # ---------------------------------------------------------------------------
+
+def _run_dishonest_bob(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
+    """B measures A's photon in his own lab instead of joining a projection.
+
+    In the MDI flow he announces Ψ⁺ as if the box had succeeded; the
+    baseline flow announces no outcome.  He steers b′ at step 3.
+    """
+    run = _Run(config, strategy, rng)
+    alice = _uniform_label(run.party_rng)
+    outcome = BsmOutcome.PSI_PLUS if config.mode is Mode.MDI else None
+    if outcome is not None:
+        run.view._outcome = outcome
+    return run.finish(1, outcome, alice, None, None)
+
+
+# ---------------------------------------------------------------------------
+# Routing a strategy to its flow
+# ---------------------------------------------------------------------------
+
+# (mode, role) -> (driver, whether the strategy is analysed for ideal devices
+# only).  The cheating analyses grant the dishonest party perfect devices;
+# detector control is modelled at the information level and runs on any.
+_ROUTES = {
+    (Mode.MDI, Role.HONEST): (_run_mdi, False),
+    (Mode.MDI, Role.ALICE): (_run_mdi, True),
+    (Mode.MDI, Role.BLACKBOX): (_run_mdi, True),
+    (Mode.MDI, Role.BOB): (_run_dishonest_bob, True),
+    (Mode.BASELINE, Role.HONEST): (_run_baseline, False),
+    (Mode.BASELINE, Role.ALICE): (_run_baseline, False),
+    (Mode.BASELINE, Role.BOB): (_run_dishonest_bob, True),
+}
+
 
 def run_with_adversary(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
     """Run the protocol with one party's messages produced by a strategy.
 
-    The honest counterpart follows the normal flow.  The strategy object
-    declares its role and the modes it applies to; a mismatch (for example
-    attaching the detector-control attack to the MDI flow, which exposes no
+    The honest counterpart follows the normal flow.  The strategy declares
+    its role and the modes it applies to; a mismatch (for example attaching
+    the detector-control attack to the MDI flow, which exposes no
     detection-control channel) is a configuration error.
     """
-    from . import adversaries  # local import to avoid a module cycle
-
-    if config.mode not in strategy.supported_modes:
+    route = _ROUTES.get((config.mode, strategy.role))
+    if route is None or config.mode not in strategy.supported_modes:
         raise ConfigurationError(
             f"strategy {strategy.name!r} does not apply to mode {config.mode.value!r}"
         )
-    if isinstance(strategy, adversaries.HonestStrategy):
-        if config.mode is Mode.BASELINE:
-            return run_baseline(config, None, rng)
-        return run_honest(config, rng)
-    if config.mode is Mode.BASELINE:
-        return _dispatch_baseline_adversary(config, strategy, rng)
-    if isinstance(strategy, adversaries.BobOptimalDiscrimination):
-        return _run_mdi_dishonest_bob(config, strategy, rng)
-    if isinstance(strategy, adversaries.ColludingBoxIndividual):
-        return _run_mdi_colluding_box(config, strategy, rng)
-    if isinstance(strategy, adversaries.CoherentStateAlice):
-        return _run_mdi_coherent_alice(config, strategy, rng)
-    raise ConfigurationError(f"no mdi driver for strategy {strategy.name!r}")
-
-
-def _require_ideal(config: RunConfig, strategy) -> None:
-    # The cheating analyses grant the dishonest party perfect devices.
-    if not config.is_ideal:
+    driver, ideal_only = route
+    if ideal_only and not config.is_ideal:
         raise ConfigurationError(
             f"strategy {strategy.name!r} is analyzed for ideal devices; "
-            "use a lossless, noiseless RunConfig"
+            "use zero fiber lengths, eta 1 and dark 0"
         )
-
-
-def _run_mdi_dishonest_bob(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    """Dishonest B measures A's photon directly and steers b′."""
-    _require_ideal(config, strategy)
-    party_rng, device_rng = rng.spawn(2)
-    view = RunView()
-
-    alice = _uniform_label(party_rng)
-    alice_state = state_for_label(alice, config.y)
-    # B runs his own lab: he skips the joint projection and claims a success.
-    view._outcome = BsmOutcome.PSI_PLUS
-    b_prime, guessed_bit = strategy.choose_b_prime(view, alice_state, device_rng)
-    view._b_prime = b_prime
-
-    revealed = alice
-    coin = revealed.bit ^ b_prime
-    return Transcript(
-        rounds=1,
-        outcome=BsmOutcome.PSI_PLUS,
-        bob_label=None,
-        bob_random_bit=b_prime,
-        revealed_label=revealed,
-        verdict=Verdict.ACCEPT,  # the verifier is the cheater; he never aborts
-        coin=coin,
-        cause="med-correct" if guessed_bit == alice.bit else "med-wrong",
-        adversary_success=coin == strategy.target_coin,
-    )
-
-
-def _run_mdi_colluding_box(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    """A ships a rigged box; it reads B's photon and fakes an outcome."""
-    _require_ideal(config, strategy)
-    party_rng, device_rng = rng.spawn(2)
-    view = RunView()
-
-    bob = _uniform_label(party_rng)
-    bob_state = state_for_label(bob, config.y)
-    outcome, guessed_label = strategy.box_process(view, bob_state, device_rng)
-    view._outcome = outcome
-    view._box_message = guessed_label
-
-    b_prime = int(party_rng.integers(2))
-    view._b_prime = b_prime
-    revealed = strategy.reveal(view, device_rng)
-
-    verdict = verify(outcome, revealed, bob, config.y)
-    coin = (revealed.bit ^ b_prime) if verdict is Verdict.ACCEPT else None
-    return Transcript(
-        rounds=1,
-        outcome=outcome,
-        bob_label=bob,
-        bob_random_bit=b_prime,
-        revealed_label=revealed,
-        verdict=verdict,
-        coin=coin,
-        cause="med-correct" if guessed_label == bob else "med-wrong",
-        adversary_success=verdict is Verdict.ACCEPT and coin == strategy.target_coin,
-    )
-
-
-def _run_mdi_coherent_alice(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    """A submits an uncommitted superposition but lets the box project honestly."""
-    _require_ideal(config, strategy)
-    party_rng, device_rng = rng.spawn(2)
-    view = RunView()
-
-    outcome = BsmOutcome.FAILURE
-    bob = None
-    rounds = 0
-    for rounds in range(1, config.max_rounds + 1):
-        bob = _uniform_label(party_rng)
-        sent = strategy.prepare(view, device_rng)
-        outcome = devices.sample_bsm_ideal(sent, state_for_label(bob, config.y), device_rng)
-        if outcome is not BsmOutcome.FAILURE:
-            break
-    if outcome is BsmOutcome.FAILURE:
-        raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
-    view._outcome = outcome
-
-    b_prime = int(party_rng.integers(2))
-    view._b_prime = b_prime
-    revealed = strategy.reveal(view, device_rng)
-
-    verdict = verify(outcome, revealed, bob, config.y)
-    coin = (revealed.bit ^ b_prime) if verdict is Verdict.ACCEPT else None
-    return Transcript(
-        rounds=rounds,
-        outcome=outcome,
-        bob_label=bob,
-        bob_random_bit=b_prime,
-        revealed_label=revealed,
-        verdict=verdict,
-        coin=coin,
-        cause=None,
-        adversary_success=verdict is Verdict.ACCEPT and coin == strategy.target_coin,
-    )
-
-
-def _dispatch_baseline_adversary(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    from . import adversaries
-
-    if config.mode not in strategy.supported_modes:
-        raise ConfigurationError(
-            f"strategy {strategy.name!r} does not apply to mode {config.mode.value!r}"
-        )
-    if isinstance(strategy, adversaries.HonestStrategy):
-        return run_baseline(config, None, rng)
-    if isinstance(strategy, adversaries.DetectorControlAlice):
-        return _run_baseline_blinding(config, strategy, rng)
-    if isinstance(strategy, adversaries.BobOptimalDiscrimination):
-        return _run_baseline_dishonest_bob(config, strategy, rng)
-    raise ConfigurationError(f"no baseline driver for strategy {strategy.name!r}")
-
-
-def _run_baseline_blinding(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    """A controls B's detector: every detection succeeds and leaks (β, bit)."""
-    party_rng, device_rng = rng.spawn(2)
-    view = RunView()
-
-    bob_basis = int(party_rng.integers(2))
-    recorded = strategy.control_detection(view, bob_basis, device_rng)
-    view._detection_record = (bob_basis, recorded)
-
-    b_prime = int(party_rng.integers(2))
-    view._b_prime = b_prime
-    revealed = strategy.reveal(view, device_rng)
-
-    caught = bob_basis == revealed.basis and recorded != revealed.bit
-    verdict = Verdict.ABORT if caught else Verdict.ACCEPT
-    coin = (revealed.bit ^ b_prime) if verdict is Verdict.ACCEPT else None
-    return Transcript(
-        rounds=1,
-        outcome=None,
-        bob_label=StateLabel(bob_basis, recorded),
-        bob_random_bit=b_prime,
-        revealed_label=revealed,
-        verdict=verdict,
-        coin=coin,
-        cause="controlled-detection",
-        adversary_success=verdict is Verdict.ACCEPT and coin == strategy.target_coin,
-    )
-
-
-def _run_baseline_dishonest_bob(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    """Dishonest B in the baseline flow: same discrimination attack as in MDI."""
-    _require_ideal(config, strategy)
-    party_rng, device_rng = rng.spawn(2)
-    view = RunView()
-
-    alice = _uniform_label(party_rng)
-    alice_state = state_for_label(alice, config.y)
-    b_prime, guessed_bit = strategy.choose_b_prime(view, alice_state, device_rng)
-    view._b_prime = b_prime
-
-    revealed = alice
-    coin = revealed.bit ^ b_prime
-    return Transcript(
-        rounds=1,
-        outcome=None,
-        bob_label=None,
-        bob_random_bit=b_prime,
-        revealed_label=revealed,
-        verdict=Verdict.ACCEPT,
-        coin=coin,
-        cause="med-correct" if guessed_bit == alice.bit else "med-wrong",
-        adversary_success=coin == strategy.target_coin,
-    )
+    return driver(config, strategy, rng)

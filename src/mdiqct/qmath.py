@@ -239,20 +239,12 @@ class DensityMatrix:
         return f"DensityMatrix({self.matrix.tolist()!r})"
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return state.density()
-
-    @classmethod
     def mixture(cls, components: list[tuple[float, "DensityMatrix"]]) -> "DensityMatrix":
         """Convex mixture Σ wᵢ ρᵢ; weights must sum to 1."""
         total = sum(w for w, _ in components)
         if abs(total - 1.0) > ATOL:
             raise ParameterError(f"mixture weights must sum to 1, got {total!r}")
         return cls(sum(w * rho.matrix for w, rho in components))
-
-    @classmethod
-    def maximally_mixed(cls) -> "DensityMatrix":
-        return cls(np.eye(2, dtype=complex) / 2.0)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)

@@ -180,6 +180,16 @@ class TestEstimateRefusesWhatItWouldIgnore:
             ("table-cell", {"index_a": 0, "index_b": 1, "outcome": "psi-plux"}),
             ("alice-blinding", {"count": "abortt"}),
             ("alice-individual", {"condition": "rigth"}),
+            ("alice-individual", {"target_coin": 2}),
+            ("alice-coherent", {"target_coin": -1}),
+            ("alice-blinding", {"target_coin": 2}),
+            ("table-cell", {"index_a": -1, "index_b": 0, "outcome": "psi-plus"}),
+            ("cheating-cell", {"index_b": 7, "outcome": "psi-plus"}),
+            ("honest-round-cause", {"cause_code": 7}),
+            ("honest-run-abort", {"max_rounds": 0}),
+            ("table-cell", {"index_b": 0, "outcome": "psi-plus"}),
+            ("honest-round-cause", {}),
+            ("cheating-cell", {"index_b": 0}),
         ],
     )
     def test_refused(self, scenario, params):
