@@ -57,11 +57,6 @@ class AdversaryStrategy:
 
 
 @dataclass(frozen=True)
-class HonestStrategy(AdversaryStrategy):
-    """Identity strategy: behaves exactly like the honest flow."""
-
-
-@dataclass(frozen=True)
 class BobOptimalDiscrimination(AdversaryStrategy):
     """B measures A's incoming photon in the {H, V} basis and steers b′.
 
@@ -263,9 +258,9 @@ def alice_blinding_attack(target_coin: int = 0) -> DetectorControlAlice:
     )
 
 
-def identity_strategy(target_coin: int = 0) -> HonestStrategy:
+def identity_strategy(target_coin: int = 0) -> AdversaryStrategy:
     """Honest play wrapped in the strategy interface, for consistency checks."""
-    return HonestStrategy(
+    return AdversaryStrategy(
         role=Role.HONEST,
         target_coin=target_coin,
         name="none",

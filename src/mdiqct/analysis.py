@@ -14,15 +14,12 @@ scheduled.
 """
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Union
+from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .adversaries import MED_MODELS
 from .devices import (
@@ -30,23 +27,16 @@ from .devices import (
     CAUSE_BOTH,
     CAUSE_DARK_DARK,
     CAUSE_PHOTON_DARK,
-    OUTCOME_PSI_MINUS,
-    OUTCOME_PSI_PLUS,
     ChannelParams,
     DetectorParams,
-    outcome_from_code,
     round_rates,
     sample_bsm_noisy_batch,
 )
 from .errors import ParameterError, UnknownScenarioError
-from .protocol import DEFAULT_MAX_ROUNDS, is_zero_cell
-from .qmath import (
-    ALL_LABELS,
-    BsmOutcome,
-    cheating_table,
-    validate_y,
-    verification_table,
-)
+from .protocol import DEFAULT_MAX_ROUNDS, _label_tables, sample_deciding_rounds
+# verification_table is unused here but stays importable from this module:
+# perfbench/tracer.py wraps analysis.verification_table by name.
+from .qmath import ALL_LABELS, BsmOutcome, cheating_table, validate_y, verification_table  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -205,6 +195,8 @@ def solve_fair_y(tolerance: float = 1e-10) -> FairPoint:
 
 def chi_square_uniform(counts) -> tuple[float, float]:
     """Chi-square statistic and p-value against the uniform distribution."""
+    from scipy import stats  # imported here: loading scipy.stats dominates package import time
+
     res = stats.chisquare(np.asarray(counts))
     return float(res.statistic), float(res.pvalue)
 
@@ -235,25 +227,6 @@ class Estimate:
 Kernel = Callable[[np.random.Generator, int, dict], tuple[int, int]]
 
 
-@lru_cache(maxsize=32)
-def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p⁺ and p⁻ by label pair, and zero-cell flags by (outcome code, label pair).
-
-    A label pair is the flat index 4·a + b of A's and B's label indices.
-    """
-    table = verification_table(y)
-    p_plus = np.array(table.panel(BsmOutcome.PSI_PLUS)).ravel()
-    p_minus = np.array(table.panel(BsmOutcome.PSI_MINUS)).ravel()
-    zero = np.zeros((3, 16), dtype=bool)  # a failure never sits on a zero cell
-    for code in (OUTCOME_PSI_PLUS, OUTCOME_PSI_MINUS):
-        for pair in range(16):
-            la, lb = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3]
-            zero[code, pair] = is_zero_cell(outcome_from_code(code), la, lb)
-    for arr in (p_plus, p_minus, zero):
-        arr.setflags(write=False)
-    return p_plus, p_minus, zero
-
-
 def _sampled_rounds(rng: np.random.Generator, n: int, p: dict) -> tuple[np.ndarray, ...]:
     """One physical round per trial on uniform label pairs: (pair, outcome, cause)."""
     p_plus, p_minus, _ = _label_tables(p["y"])
@@ -278,61 +251,25 @@ def _kernel_honest_round_cause(rng: np.random.Generator, n: int, p: dict) -> tup
     return int((cause[success] == p["cause_code"]).sum()), int(success.sum())
 
 
-@lru_cache(maxsize=32)
-def _success_table(
-    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(per-round success probability, cumulative weights, abort flags).
-
-    Weights and flags run over the 16 × 6 successful (label pair, band)
-    cells of the round model, pair-major.
-    """
-    p_plus, p_minus, zero = _label_tables(y)
-    genuine, pd, dd, _ = round_rates(channel.t_a, channel.t_b, detector, extended)
-    success = np.column_stack([np.tile((pd, pd, dd, dd), (16, 1)), genuine * p_plus, genuine * p_minus])
-    cumulative = np.cumsum(success)
-    p_round = float(cumulative[-1]) / 16.0  # uniform pairs: 1/16 each
-    if p_round > 0.0:
-        cumulative /= cumulative[-1]
-    abort = zero[BAND_OUTCOME[:6]].T.ravel()
-    for arr in (cumulative, abort):
-        arr.setflags(write=False)
-    return p_round, cumulative, abort
-
-
-def _first_success_fields(
-    rng: np.random.Generator, n: int, p: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample (label pair, abort, exhausted) of the deciding round.
-
-    Rounds are i.i.d., so the first successful round's joint distribution is
-    the single-round one conditioned on success; sampling it directly is
-    exact and avoids walking geometric restart chains with tiny per-round
-    success probability.  One uniform picks the (label pair, band) cell;
-    exhaustion (more restarts than the cap) is sampled from the geometric
-    round count.
-    """
-    p_round, cumulative, abort_cell = _success_table(
-        p["y"], p["channel"], p["detector"], p["extended"]
-    )
-    if p_round <= 0.0:
-        return np.full(n, -1), np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-
-    cell = np.searchsorted(cumulative, rng.random(n), side="right")
-    exhausted = rng.geometric(p_round, size=n) > p["max_rounds"]
-    return cell // 6, abort_cell[cell] & ~exhausted, exhausted
+def _honest_runs(rng: np.random.Generator, n: int, p: dict) -> tuple[np.ndarray, ...]:
+    """(label pair, abort, accept) of full honest runs; an exhausted run does neither."""
+    rounds, pair, band = sample_deciding_rounds(p["y"], p["channel"], p["detector"], p["extended"], rng, n)
+    _, _, zero = _label_tables(p["y"])
+    abort_by_cell = zero[BAND_OUTCOME[:6]].T.ravel()  # flat index 6·pair + band
+    found = rounds <= p["max_rounds"]
+    abort = abort_by_cell[6 * pair + band] & found
+    return pair, abort, found & ~abort
 
 
 def _kernel_honest_run_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Full honest runs (restart until success); counts aborting runs."""
-    _, abort, _ = _first_success_fields(rng, n, p)
+    _, abort, _ = _honest_runs(rng, n, p)
     return int(abort.sum()), n
 
 
 def _kernel_honest_coin(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Coin value over accepting honest runs; counts coin == 0."""
-    pair, abort, exhausted = _first_success_fields(rng, n, p)
-    accept = ~abort & ~exhausted
+    pair, _, accept = _honest_runs(rng, n, p)
     a_bit = (pair >> 2) & 1
     b_prime = rng.integers(2, size=n)
     coin = a_bit ^ b_prime

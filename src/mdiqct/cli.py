@@ -130,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--sent", choices=adversaries.SENT_STATES, default=None)
     add_common(p_attack)
 
+    for p in (p_tables, p_fair, p_sweep, p_run, p_attack):  # config-file values meet the same checks
+        p.set_defaults(option_actions={action.dest: action for action in p._actions})
     return parser
 
 
@@ -144,27 +146,44 @@ def _load_config_file(path: str, known_keys: set[str]) -> dict:
     return data
 
 
+def _file_value(action: argparse.Action, value):
+    """A config-file value, checked with the type and choices of its flag."""
+    key = action.dest
+    if action.nargs == 0:  # a store_true flag takes JSON true or false only
+        if not isinstance(value, bool):
+            raise ParameterError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if action.type is not None:
+        wrong_type = ParameterError(f"config key {key!r} must be {action.type.__name__}, got {value!r}")
+        # JSON true/false are not numbers, and int() would truncate 2.7 to 2.
+        fractional = isinstance(value, float) and not value.is_integer()
+        if isinstance(value, bool) or (action.type is int and fractional):
+            raise wrong_type
+        try:
+            value = action.type(value)
+        except (TypeError, ValueError):
+            raise wrong_type from None
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
+
+
 def _merge_options(args: argparse.Namespace, keys: list[str]) -> dict:
     """Resolve each option as flag > config file > default."""
     from_file = {}
     if getattr(args, "config", None):
         from_file = _load_config_file(args.config, set(keys) | {"seed"})
     opts = {}
-    for key in keys:
+    for key in (keys + ["seed"]) if hasattr(args, "seed") else keys:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             opts[key] = flag_value
         elif key in from_file:
-            opts[key] = from_file[key]
+            opts[key] = _file_value(args.option_actions[key], from_file[key])
         else:
-            opts[key] = DEFAULTS[key]
-    if hasattr(args, "seed"):
-        if args.seed is not None:
-            opts["seed"] = args.seed
-        elif "seed" in from_file:
-            opts["seed"] = int(from_file["seed"])
-        else:
-            opts["seed"] = _default_seed()
+            opts[key] = _default_seed() if key == "seed" else DEFAULTS[key]
+    if opts.get("seed", 0) < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {opts['seed']}")
     return opts
 
 

@@ -88,6 +88,10 @@ IDEAL_CHANNEL = ChannelParams(0.0, 0.0)
 IDEAL_DETECTOR = DetectorParams(eta=1.0, dark=0.0)
 
 
+# The largest mean numpy's Poisson sampler accepts (its internal POISSON_LAM_MAX).
+MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
 class SourceKind(Enum):
     SINGLE_PHOTON = "single-photon"
     WEAK_COHERENT = "weak-coherent"
@@ -102,8 +106,9 @@ class SourceModel:
 
     def __post_init__(self) -> None:
         if self.kind is SourceKind.WEAK_COHERENT:
-            if self.mu is None or self.mu <= 0.0:
-                raise ParameterError(f"weak-coherent source needs mean photon number > 0, got {self.mu}")
+            # Written so that NaN fails; numpy's Poisson draw refuses larger means.
+            if self.mu is None or not 0.0 < self.mu <= MAX_POISSON_MEAN:
+                raise ParameterError(f"mean photon number must lie in (0, {MAX_POISSON_MEAN:.4g}], got {self.mu}")
         elif self.mu is not None:
             raise ParameterError("single-photon source takes no mean photon number")
 
@@ -209,11 +214,12 @@ def round_rates(t_a: float, t_b: float, detector: DetectorParams, extended: bool
 
 
 # The seven bands in table order, as samples and as integer codes.
-_BAND_SAMPLES = tuple(
+BAND_SAMPLES = tuple(
     BsmSample(outcome, cause)
     for cause in (EventCause.PHOTON_DARK, EventCause.DARK_DARK, EventCause.BOTH_PHOTONS)
     for outcome in (BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS)
 ) + (BsmSample(BsmOutcome.FAILURE, EventCause.FAILURE),)
+FAILURE_BAND = 6
 BAND_OUTCOME = np.array([OUTCOME_PSI_PLUS, OUTCOME_PSI_MINUS] * 3 + [OUTCOME_FAILURE], dtype=np.int8)
 BAND_CAUSE = np.repeat(
     np.array([CAUSE_PHOTON_DARK, CAUSE_DARK_DARK, CAUSE_BOTH, CAUSE_FAILURE], dtype=np.int8), (2, 2, 2, 1)
@@ -246,12 +252,12 @@ def sample_bsm_noisy(
     cuts = rates.dark_cuts
     u = rng.random()
     if u < cuts[3]:
-        return _BAND_SAMPLES[bisect_right(cuts, u)]
+        return BAND_SAMPLES[bisect_right(cuts, u)]
     if u >= cuts[3] + rates.genuine:
-        return _BAND_SAMPLES[6]
+        return BAND_SAMPLES[FAILURE_BAND]
     p_plus, p_minus = bell_projection_probs(state_a, state_b)
     plus_cut = cuts[3] + rates.genuine * p_plus
-    return _BAND_SAMPLES[4 + bisect_right((plus_cut, plus_cut + rates.genuine * p_minus), u)]
+    return BAND_SAMPLES[4 + bisect_right((plus_cut, plus_cut + rates.genuine * p_minus), u)]
 
 
 def sample_bsm_ideal(state_a: PureState, state_b: PureState, rng: np.random.Generator) -> BsmOutcome:

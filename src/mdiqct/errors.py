@@ -10,7 +10,7 @@ class ConfigurationError(ValueError):
 
 
 class ExhaustionError(RuntimeError):
-    """Raised when the restart loop hits the round cap without a successful projection.
+    """Raised when a run's first successful round would come after the round cap.
 
     Distinct from a protocol Abort: exhaustion means the run never completed,
     not that a party was caught cheating.

@@ -20,17 +20,26 @@ Each flow has one driver for steps 1–2; steps 3–5 are written once for all
 of them.  A cheating strategy plays one party: it declares a :class:`Role`,
 and the driver calls that role's hooks, listed in :mod:`mdiqct.adversaries`.
 
-The black box interface receives only quantum states and emits only an
-outcome: B's classical label never flows into it.  Strategies observe the
-run through a phase-gated view, so reading b′ before step 3 has fixed it
-raises instead of leaking.
+Honest runs do not walk their failed rounds.  Rounds are i.i.d., so a run is
+exactly a Geometric(p_round) round count and one draw of the deciding round
+from the round model conditioned on success: :func:`sample_deciding_rounds`
+makes those two draws, for one run here and for whole batches in the
+estimator.  The honest baseline likewise draws its round count from
+Geometric(t_a·η) and its labels and measurement once.  Every flow draws from
+the caller's generator alone.
+
+A rigged box (role ``BLACKBOX``) receives only B's quantum state and emits
+only an outcome: B's classical label never flows into it.  Strategies
+observe the run through a phase-gated view, so reading b′ before step 3 has
+fixed it raises instead of leaking.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -46,11 +55,13 @@ from .devices import (
 )
 from .errors import ConfigurationError, ExhaustionError, ParameterError, PhaseOrderError
 from .qmath import (
+    ALL_LABELS,
     BsmOutcome,
     PureState,
     StateLabel,
     state_for_label,
     validate_y,
+    verification_table,
 )
 
 DEFAULT_MAX_ROUNDS = 1_000_000
@@ -187,12 +198,7 @@ class RunConfig:
     @property
     def is_ideal(self) -> bool:
         """Lossless channel, unit-efficiency detectors, no dark counts."""
-        return (
-            self.channel.l_a == 0.0
-            and self.channel.l_b == 0.0
-            and self.detector.eta == 1.0
-            and self.detector.dark == 0.0
-        )
+        return (self.channel.l_a, self.channel.l_b) == (0.0, 0.0) and self.detector == devices.IDEAL_DETECTOR
 
 
 def ideal_config(y: float = 0.9, mode: Mode = Mode.MDI, max_rounds: int = DEFAULT_MAX_ROUNDS) -> RunConfig:
@@ -245,25 +251,61 @@ class RunView:
         return self._get("_detection_record", "detection_record")
 
 
-BlackBox = Callable[[PureState, PureState, np.random.Generator], BsmSample]
+# ---------------------------------------------------------------------------
+# The deciding round of honest MDI play
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p⁺ and p⁻ by label pair 4·a + b (a, b: A's and B's label indices), and
+    zero-cell flags by (outcome code, label pair)."""
+    table = verification_table(y)
+    p_plus = np.array(table.panel(BsmOutcome.PSI_PLUS)).ravel()
+    p_minus = np.array(table.panel(BsmOutcome.PSI_MINUS)).ravel()
+    # Zero cells are exact zeros of the table; a failure never sits on one.
+    zero = np.stack([np.zeros(16, dtype=bool), p_plus == 0.0, p_minus == 0.0])
+    for arr in (p_plus, p_minus, zero):
+        arr.setflags(write=False)
+    return p_plus, p_minus, zero
 
 
-def _honest_box(config: RunConfig) -> BlackBox:
-    def box(state_a: PureState, state_b: PureState, rng: np.random.Generator) -> BsmSample:
-        return devices.sample_bsm_noisy(
-            state_a,
-            state_b,
-            config.channel,
-            config.detector,
-            rng,
-            extended=config.extended_dark_model,
-        )
+@lru_cache(maxsize=32)
+def _success_table(
+    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool
+) -> tuple[float, np.ndarray]:
+    """Per-round success probability and the normalized cumulative weights of
+    the 16 × 6 successful (label pair, band) cells, pair-major."""
+    p_plus, p_minus, _ = _label_tables(y)
+    genuine, pd, dd, _ = devices.round_rates(channel.t_a, channel.t_b, detector, extended)
+    success = np.column_stack([np.tile((pd, pd, dd, dd), (16, 1)), genuine * p_plus, genuine * p_minus])
+    cumulative = np.cumsum(success)
+    p_round = float(cumulative[-1]) / 16.0  # uniform pairs: 1/16 each
+    if p_round > 0.0:
+        cumulative /= cumulative[-1]
+    cumulative.setflags(write=False)
+    return p_round, cumulative
 
-    return box
 
+def sample_deciding_rounds(
+    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample (rounds, label pair, band) of ``n`` independent honest MDI runs.
 
-def _uniform_label(rng: np.random.Generator) -> StateLabel:
-    return StateLabel(basis=int(rng.integers(2)), bit=int(rng.integers(2)))
+    Rounds are i.i.d., so the deciding round is one round conditioned on
+    success and the round count is Geometric(p_round).  One uniform per run
+    picks the (label pair, band) cell, then one geometric draw gives the
+    round count; the band indexes :data:`~mdiqct.devices.BAND_SAMPLES`.  If
+    p_round = 0 nothing is drawn: ``rounds`` is the largest int64, the pair
+    −1 and the band the failure band.
+    """
+    p_round, cumulative = _success_table(y, channel, detector, extended)
+    if p_round <= 0.0:
+        never = np.full(n, np.iinfo(np.int64).max)
+        return never, np.full(n, -1, np.int8), np.full(n, devices.FAILURE_BAND, np.int8)
+    # int8 cells (< 96) keep the split and every caller's array arithmetic cheap.
+    cell = np.searchsorted(cumulative, rng.random(n), side="right").astype(np.int8)
+    pair = cell // 6
+    return rng.geometric(p_round, size=n), pair, cell - 6 * pair
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +313,16 @@ def _uniform_label(rng: np.random.Generator) -> StateLabel:
 # ---------------------------------------------------------------------------
 
 class _Run:
-    """One execution in progress; ``strategy`` is None for honest play.
+    """One execution in progress; ``strategy`` is None for honest play."""
 
-    Party randomness (labels, b′) and device noise come from separate child
-    streams so that device-model changes do not shift the parties' choices.
-    """
-
-    __slots__ = ("config", "strategy", "role", "view", "party_rng", "device_rng")
+    __slots__ = ("config", "strategy", "role", "view", "rng")
 
     def __init__(self, config: RunConfig, strategy, rng: np.random.Generator) -> None:
         self.config = config
         self.strategy = strategy
         self.role = Role.HONEST if strategy is None else strategy.role
         self.view = RunView()
-        self.party_rng, self.device_rng = rng.spawn(2)
+        self.rng = rng
 
     def finish(
         self,
@@ -302,15 +340,15 @@ class _Run:
         measurement of A's photon and, being the verifier, never aborts.
         ``outcome`` is None in the baseline flow, which has no box.
         """
-        view, strategy = self.view, self.strategy
+        view, strategy, rng = self.view, self.strategy, self.rng
         if self.role is Role.BOB:
             alice_state = state_for_label(alice, self.config.y)
-            b_prime, guessed_bit = strategy.choose_b_prime(view, alice_state, self.device_rng)
+            b_prime, guessed_bit = strategy.choose_b_prime(view, alice_state, rng)
             cause = "med-correct" if guessed_bit == alice.bit else "med-wrong"
         else:
-            b_prime = int(self.party_rng.integers(2))
+            b_prime = int(rng.integers(2))
         view._b_prime = b_prime
-        revealed = alice if alice is not None else strategy.reveal(view, self.device_rng)
+        revealed = alice if alice is not None else strategy.reveal(view, rng)
 
         if bob is None:
             verdict = Verdict.ACCEPT
@@ -341,52 +379,58 @@ class _Run:
 # The MDI flow
 # ---------------------------------------------------------------------------
 
-def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator, box: Optional[BlackBox] = None) -> Transcript:
+def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
     """Steps 1–2 of the main flow, then the shared steps 3–5.
 
-    Honest A draws a label and sends its state; in role ``ALICE`` she sends
-    whatever ``prepare`` returns.  In role ``BLACKBOX`` her own rigged box
-    replaces the projection: ``box_process`` receives B's state, never his
-    label, announces an outcome and smuggles a guess of B's label to A.
+    Honest play draws its deciding round with :func:`sample_deciding_rounds`.
+    In role ``ALICE`` A sends whatever ``prepare`` returns, which the honest
+    success table does not describe, so her rounds are walked one by one.
+    In role ``BLACKBOX`` her own rigged box replaces the projection:
+    ``box_process`` receives B's state, never his label, announces an
+    outcome and smuggles a guess of B's label to A.
     """
     run = _Run(config, strategy, rng)
-    party_rng, device_rng, view, y = run.party_rng, run.device_rng, run.view, config.y
+    view, y = run.view, config.y
     if run.role is Role.BLACKBOX:
         # The rigged box always announces a Bell outcome, so no round fails.
-        bob = _uniform_label(party_rng)
-        outcome, guess = strategy.box_process(view, state_for_label(bob, y), device_rng)
+        bob = ALL_LABELS[rng.integers(4)]
+        outcome, guess = strategy.box_process(view, state_for_label(bob, y), rng)
         view._outcome = outcome
         view._box_message = guess
         return run.finish(1, outcome, None, bob, "med-correct" if guess == bob else "med-wrong")
 
-    box = box or _honest_box(config)
-    prepare = strategy.prepare if run.role is Role.ALICE else None
-    alice = None
-    for rounds in range(1, config.max_rounds + 1):
-        if prepare is None:
-            alice = _uniform_label(party_rng)
-            state_a = state_for_label(alice, y)
-        else:
-            state_a = prepare(view, device_rng)
-        bob = _uniform_label(party_rng)
-        sample = box(state_a, state_for_label(bob, y), device_rng)
-        if sample.outcome is not BsmOutcome.FAILURE:
-            break
+    if run.role is Role.HONEST:
+        drawn = sample_deciding_rounds(y, config.channel, config.detector, config.extended_dark_model, rng, 1)
+        rounds, pair, band = (int(v[0]) for v in drawn)
+        alice, bob, sample = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3], devices.BAND_SAMPLES[band]
     else:
+        alice, rounds, sample = None, 0, devices.BAND_SAMPLES[devices.FAILURE_BAND]
+        while sample.outcome is BsmOutcome.FAILURE and rounds <= config.max_rounds:
+            rounds += 1
+            state_a = strategy.prepare(view, rng)
+            bob = ALL_LABELS[rng.integers(4)]
+            sample = devices.sample_bsm_noisy(
+                state_a, state_for_label(bob, y), config.channel, config.detector, rng,
+                extended=config.extended_dark_model,
+            )
+    if rounds > config.max_rounds:
         raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
     view._outcome = sample.outcome
     return run.finish(rounds, sample.outcome, alice, bob, sample.cause.value)
 
 
-def run_honest(
-    config: RunConfig,
-    rng: np.random.Generator,
-    box: Optional[BlackBox] = None,
-) -> Transcript:
-    """One honest execution of the main flow, restarting on failure clicks."""
+def run_honest(config: RunConfig, rng: np.random.Generator) -> Transcript:
+    """One honest execution of the main flow.
+
+    Failed rounds are not simulated: the round count and the deciding round
+    are drawn directly (see :func:`sample_deciding_rounds`), which is exact
+    because rounds are i.i.d.  A run whose round count exceeds
+    ``config.max_rounds``, or in which no round can succeed, raises
+    :class:`ExhaustionError`.
+    """
     if config.mode is not Mode.MDI:
         raise ConfigurationError(f"run_honest requires mdi mode, got {config.mode.value}")
-    return _run_mdi(config, None, rng, box)
+    return _run_mdi(config, None, rng)
 
 
 def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript:
@@ -402,16 +446,15 @@ def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript
     if config.mode is not Mode.MDI_WEAK_COHERENT:
         raise ConfigurationError(f"run_weak_coherent requires weak-coherent mode, got {config.mode.value}")
     run = _Run(config, None, rng)
-    party_rng, device_rng = run.party_rng, run.device_rng
     k = int(config.k_pulses)
 
     multiphoton: list[int] = []
     first: Optional[tuple[int, BsmSample, StateLabel, StateLabel]] = None
     for slot in range(1, k + 1):
-        alice = _uniform_label(party_rng)
-        bob = _uniform_label(party_rng)
-        n_a = sample_photon_number(config.source_a, device_rng)
-        n_b = sample_photon_number(config.source_b, device_rng)
+        alice = ALL_LABELS[rng.integers(4)]
+        bob = ALL_LABELS[rng.integers(4)]
+        n_a = sample_photon_number(config.source_a, rng)
+        n_b = sample_photon_number(config.source_b, rng)
         if n_a >= 2 or n_b >= 2:
             multiphoton.append(slot)
         candidate = devices.sample_bsm_noisy(
@@ -419,7 +462,7 @@ def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript
             state_for_label(bob, config.y),
             config.channel,
             config.detector,
-            device_rng,
+            rng,
             extended=config.extended_dark_model,
             present_a=n_a >= 1,
             present_b=n_b >= 1,
@@ -460,34 +503,31 @@ def _run_baseline(config: RunConfig, strategy, rng: np.random.Generator) -> Tran
     """Simplified direct-measurement flow used to stage detector attacks.
 
     A sends her state straight to B, who measures in a uniformly random
-    preparation basis (resending on detection failure).  After the reveal,
-    B aborts iff he measured in A's basis and recorded the orthogonal bit.
-    This check is a deliberate simplification: it is just strong enough to
-    show that a detector-controlling A evades it completely while the MDI
-    flow gives her no such handle.  In role ``ALICE`` she owns B's
-    detection: ``control_detection`` fixes the recorded bit, and she learns
-    it together with B's basis.
+    preparation basis; honest play draws the number of pulses up to the
+    first detection as Geometric(t_a·η), then the labels and the
+    measurement of the detected pulse.  After the reveal, B aborts iff he
+    measured in A's basis and recorded the orthogonal bit.  This check is a
+    deliberate simplification: it is just strong enough to show that a
+    detector-controlling A evades it completely while the MDI flow gives
+    her no such handle.  In role ``ALICE`` she owns B's detection:
+    ``control_detection`` fixes the recorded bit, and she learns it
+    together with B's basis.
     """
     run = _Run(config, strategy, rng)
-    party_rng, device_rng = run.party_rng, run.device_rng
     if run.role is Role.ALICE:
         # Every controlled detection succeeds, so no round is resent.
-        bob_basis = int(party_rng.integers(2))
-        recorded = run.strategy.control_detection(run.view, bob_basis, device_rng)
+        bob_basis = int(rng.integers(2))
+        recorded = run.strategy.control_detection(run.view, bob_basis, rng)
         run.view._detection_record = (bob_basis, recorded)
         return run.finish(1, None, None, StateLabel(bob_basis, recorded), "controlled-detection")
 
     detect_prob = config.channel.t_a * config.detector.eta
-    for rounds in range(1, config.max_rounds + 1):
-        alice = _uniform_label(party_rng)
-        bob_basis = int(party_rng.integers(2))
-        if device_rng.random() < detect_prob:
-            recorded = _measure_in_basis(
-                state_for_label(alice, config.y), bob_basis, config.y, device_rng
-            )
-            break
-    else:
+    rounds = int(rng.geometric(detect_prob)) if detect_prob > 0.0 else None
+    if rounds is None or rounds > config.max_rounds:
         raise ExhaustionError(f"no detection within {config.max_rounds} rounds")
+    alice = ALL_LABELS[rng.integers(4)]
+    bob_basis = int(rng.integers(2))
+    recorded = _measure_in_basis(state_for_label(alice, config.y), bob_basis, config.y, rng)
     return run.finish(rounds, None, alice, StateLabel(bob_basis, recorded), "baseline-detection")
 
 
@@ -517,7 +557,7 @@ def _run_dishonest_bob(config: RunConfig, strategy, rng: np.random.Generator) ->
     baseline flow announces no outcome.  He steers b′ at step 3.
     """
     run = _Run(config, strategy, rng)
-    alice = _uniform_label(run.party_rng)
+    alice = ALL_LABELS[rng.integers(4)]
     outcome = BsmOutcome.PSI_PLUS if config.mode is Mode.MDI else None
     if outcome is not None:
         run.view._outcome = outcome

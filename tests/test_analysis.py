@@ -20,9 +20,18 @@ from mdiqct.analysis import (
     solve_fair_y,
     sweep_distance,
 )
-from mdiqct.devices import ChannelParams, DetectorParams
+from mdiqct.devices import (
+    OUTCOME_FAILURE,
+    OUTCOME_PSI_MINUS,
+    OUTCOME_PSI_PLUS,
+    ChannelParams,
+    DetectorParams,
+    outcome_from_code,
+    sample_bsm_noisy_batch,
+)
 from mdiqct.errors import ParameterError, UnknownScenarioError
-from mdiqct.protocol import RunConfig, Verdict, run_honest
+from mdiqct.protocol import RunConfig, Verdict, is_zero_cell, run_honest
+from mdiqct.qmath import ALL_LABELS, BsmOutcome, verification_table
 
 
 def hand_abort_formula(t_a, t_b, eta, d):
@@ -35,6 +44,36 @@ def hand_abort_formula(t_a, t_b, eta, d):
         + t_b * (1 - t_a) * (1 - eta) * 2 * d * d
         + t_a * t_b * (1 - eta) ** 2 * 2 * d * d
     )
+
+
+def restart_loop(config, rng, n):
+    """Independent reference for honest MDI runs: every round walked, n runs at once.
+
+    Each pending run draws a uniform label pair and one round of the batch
+    sampler until that round succeeds.  Returns (abort flags, round counts).
+    """
+    table = verification_table(config.y)
+    p_plus = table.panel(BsmOutcome.PSI_PLUS).ravel()
+    p_minus = table.panel(BsmOutcome.PSI_MINUS).ravel()
+    zero = np.zeros((3, 16), dtype=bool)  # by (outcome code, label pair)
+    for code in (OUTCOME_PSI_PLUS, OUTCOME_PSI_MINUS):
+        for pair in range(16):
+            la, lb = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3]
+            zero[code, pair] = is_zero_cell(outcome_from_code(code), la, lb)
+    abort = np.zeros(n, dtype=bool)
+    rounds = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n)
+    while pending.size:
+        pair = rng.integers(16, size=pending.size)
+        outcome, _ = sample_bsm_noisy_batch(
+            p_plus[pair], p_minus[pair], config.channel, config.detector, rng,
+            extended=config.extended_dark_model,
+        )
+        rounds[pending] += 1
+        done = outcome != OUTCOME_FAILURE
+        abort[pending[done]] = zero[outcome[done], pair[done]]
+        pending = pending[~done]
+    return abort, rounds
 
 
 class TestClosedForms:
@@ -281,16 +320,21 @@ class TestEstimatorAgainstClosedForms:
         assert_within_sigmas(est.mean, expected, se)
 
     def test_run_abort_agrees_with_state_machine(self):
-        """Cross-engine: conditional sampler vs the sequential restart loop."""
+        """Cross-engine: run_honest's deciding-round sampler vs a restart loop."""
         ch = ChannelParams(15.0, 15.0)
         det = DetectorParams(eta=0.3, dark=1e-2)
         config = RunConfig(y=0.9, channel=ch, detector=det)
         rng = np.random.default_rng(49)
         n = 20_000
-        machine = sum(run_honest(config, rng).verdict is Verdict.ABORT for _ in range(n)) / n
-        est = estimate("honest-run-abort", trials=n, seed=50, channel=ch, detector=det)
-        se = math.sqrt(2.0) * math.sqrt(max(est.mean, 1e-9) * (1 - est.mean) / n)
-        assert_within_sigmas(machine, est.mean, se)
+        runs = [run_honest(config, rng) for _ in range(n)]
+        machine = sum(t.verdict is Verdict.ABORT for t in runs) / n
+        loop_abort, loop_rounds = restart_loop(config, np.random.default_rng(50), n)
+        ref = loop_abort.mean()
+        se = math.sqrt(2.0) * math.sqrt(max(ref, 1e-9) * (1 - ref) / n)
+        assert_within_sigmas(machine, ref, se)
+        machine_rounds = sum(t.rounds for t in runs) / n
+        se_rounds = math.sqrt(2.0) * loop_rounds.std() / math.sqrt(n)
+        assert_within_sigmas(machine_rounds, loop_rounds.mean(), se_rounds)
 
     def test_honest_coin_uniform(self):
         est = estimate("honest-coin", trials=500_000, seed=51)

@@ -35,7 +35,7 @@ from mdiqct.protocol import (
     transcript_to_record,
     verify,
 )
-from mdiqct.qmath import ALL_LABELS, BsmOutcome, PureState, StateLabel, verification_table
+from mdiqct.qmath import ALL_LABELS, BsmOutcome, StateLabel, verification_table
 
 RECORD_FIELDS = {
     "rounds", "outcome", "bob_basis", "bob_bit", "b_prime", "revealed_basis",
@@ -170,23 +170,6 @@ class TestHonestRuns:
 
 
 class TestShieldingAndOrdering:
-    def test_black_box_receives_only_states(self, rng):
-        """The box interface carries quantum states in and a sample out."""
-        seen = []
-
-        def recording_box(state_a, state_b, box_rng):
-            seen.append((state_a, state_b))
-            from mdiqct.devices import sample_bsm_noisy
-
-            return sample_bsm_noisy(state_a, state_b, ChannelParams(), DetectorParams(), box_rng)
-
-        t = run_honest(ideal_config(), rng, box=recording_box)
-        assert t.verdict is Verdict.ACCEPT
-        assert seen
-        for state_a, state_b in seen:
-            assert isinstance(state_a, PureState)
-            assert isinstance(state_b, PureState)
-
     def test_view_blocks_early_reads(self):
         view = RunView()
         with pytest.raises(PhaseOrderError):
