@@ -32,12 +32,14 @@ from .errors import ParameterError
 from .protocol import Mode, Role, RunView
 from .qmath import (
     ALL_LABELS,
+    SENT_STATES,
     BsmOutcome,
     PureState,
     StateLabel,
     minus_state,
     plus_state,
     state_for_label,
+    validate_int,
     validate_y,
 )
 
@@ -52,8 +54,7 @@ class AdversaryStrategy:
     supported_modes: frozenset
 
     def __post_init__(self) -> None:
-        if self.target_coin not in (0, 1):
-            raise ParameterError(f"target coin must be 0 or 1, got {self.target_coin}")
+        validate_int("target_coin", self.target_coin, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,6 @@ class ColludingBoxIndividual(AdversaryStrategy):
         else:
             basis = int(rng.integers(2))
         return StateLabel(basis, a)
-
-
-SENT_STATES = ("plus", "minus")
 
 
 @dataclass(frozen=True)
@@ -268,19 +266,20 @@ def identity_strategy(target_coin: int = 0) -> AdversaryStrategy:
     )
 
 
-STRATEGY_NAMES = ("none", "bob-med", "alice-individual", "alice-coherent", "alice-blinding")
+# Command-line name -> factory taking (y, target_coin, **options).
+_FACTORIES = {
+    "none": lambda y, target_coin: identity_strategy(target_coin),
+    "bob-med": bob_med_attack,
+    "alice-individual": alice_individual_attack,
+    "alice-coherent": alice_coherent_attack,
+    "alice-blinding": lambda y, target_coin: alice_blinding_attack(target_coin),
+}
+STRATEGY_NAMES = tuple(_FACTORIES)
 
 
 def by_name(name: str, y: float = 0.9, target_coin: int = 0, **kwargs) -> AdversaryStrategy:
     """Construct a strategy from its command-line name."""
-    if name == "none":
-        return identity_strategy(target_coin)
-    if name == "bob-med":
-        return bob_med_attack(y, target_coin)
-    if name == "alice-individual":
-        return alice_individual_attack(y, target_coin, **kwargs)
-    if name == "alice-coherent":
-        return alice_coherent_attack(y, target_coin, **kwargs)
-    if name == "alice-blinding":
-        return alice_blinding_attack(target_coin)
-    raise ParameterError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
+    factory = _FACTORIES.get(name)
+    if factory is None:
+        raise ParameterError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
+    return factory(y, target_coin, **kwargs)

@@ -5,6 +5,9 @@ closed-form evaluator and as a seeded Monte Carlo scenario that samples the
 actual event structure (labels, device event causes from the round table of
 :func:`mdiqct.devices.round_rates`, reveals, verification).  The test suite
 gates the two paths against each other at three standard errors.
+``SCENARIOS`` declares each scenario once (kernel, keywords taken, closed
+form of the mean if any), ``KEYWORDS`` each keyword once (default, domain);
+:func:`estimate` refuses whatever lies outside these declarations.
 
 Estimation is deterministic and worker-count independent: trials are split
 into fixed-size chunks, each chunk's generator is derived from
@@ -26,7 +29,6 @@ from .devices import (
     BAND_OUTCOME,
     CAUSE_BOTH,
     CAUSE_DARK_DARK,
-    CAUSE_PHOTON_DARK,
     ChannelParams,
     DetectorParams,
     round_rates,
@@ -34,9 +36,10 @@ from .devices import (
 )
 from .errors import ParameterError, UnknownScenarioError
 from .protocol import DEFAULT_MAX_ROUNDS, _label_tables, sample_deciding_rounds
+from .qmath import ALL_LABELS, SENT_STATES, BsmOutcome, cheating_table, validate_int, validate_y
 # verification_table is unused here but stays importable from this module:
 # perfbench/tracer.py wraps analysis.verification_table by name.
-from .qmath import ALL_LABELS, BsmOutcome, cheating_table, validate_y, verification_table  # noqa: F401
+from .qmath import verification_table  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -159,6 +162,13 @@ def cheat_alice_coherent(y: float) -> float:
 def cheat_alice_individual() -> float:
     """A's rigged-box individual attack under the benchmark error model: 3/4."""
     return 0.75
+
+
+def _alice_individual_closed_form(p: dict) -> float:
+    """3/4, or 3/4 + y(1−y)/2 for a projective box; a right guess (half of them) always passes."""
+    y = p["y"]
+    mean = 0.75 + y * (1.0 - y) / 2.0 if p["med_model"] == "projective" else cheat_alice_individual()
+    return {None: mean, "correct": 1.0, "wrong": 2.0 * mean - 1.0}[p["condition"]]
 
 
 @dataclass(frozen=True)
@@ -316,7 +326,7 @@ def _kernel_alice_individual(rng: np.random.Generator, n: int, p: dict) -> tuple
     caught = (b_bit == a_bit) & ((beta == alpha) == out_minus)
     success = ~caught
 
-    condition = p.get("condition")
+    condition = p["condition"]
     if condition == "correct":
         mask = correct
     elif condition == "wrong":
@@ -357,7 +367,7 @@ def _kernel_alice_blinding(rng: np.random.Generator, n: int, p: dict) -> tuple[i
     a_bit = b_prime ^ target
     alpha = np.where(recorded == a_bit, bob_basis, bob_basis ^ 1)
     caught = (bob_basis == alpha) & (recorded != a_bit)
-    if p.get("count") == "abort":
+    if p["count"] == "abort":
         return int(caught.sum()), n
     return int((~caught).sum()), n
 
@@ -385,48 +395,101 @@ def _kernel_cheating_cell(rng: np.random.Generator, n: int, p: dict) -> tuple[in
     return int(num.sum()), n
 
 
-SCENARIOS: dict[str, Kernel] = {
-    "honest-round-abort": _kernel_honest_round_abort,
-    "honest-round-cause": _kernel_honest_round_cause,
-    "honest-run-abort": _kernel_honest_run_abort,
-    "honest-coin": _kernel_honest_coin,
-    "bob-med": _kernel_bob_med,
-    "alice-individual": _kernel_alice_individual,
-    "alice-coherent": _kernel_alice_coherent,
-    "alice-blinding": _kernel_alice_blinding,
-    "table-cell": _kernel_table_cell,
-    "cheating-cell": _kernel_cheating_cell,
+REQUIRED = object()  # the default of a keyword the caller must give
+
+
+@dataclass(frozen=True)
+class Keyword:
+    """One ``estimate`` keyword: its default (``REQUIRED`` if none) and its domain, which
+    is a closed set (a tuple), integers (a range), a type, or a function refusing the rest."""
+
+    default: object
+    domain: object
+
+    def check(self, name: str, value) -> None:
+        domain = self.domain
+        if isinstance(domain, range):
+            validate_int(name, value, domain.start, domain.stop - 1)
+        elif isinstance(domain, tuple):
+            if value not in domain:
+                raise ParameterError(f"{name} must be one of {domain}, got {value!r}")
+        elif isinstance(domain, type):
+            if not isinstance(value, domain):
+                raise ParameterError(f"{name} must be a {domain.__name__}, got {value!r}")
+        else:
+            domain(value)
+
+
+KEYWORDS: dict[str, Keyword] = {
+    "y": Keyword(0.9, validate_y),
+    "channel": Keyword(ChannelParams(), ChannelParams),
+    "detector": Keyword(DetectorParams(), DetectorParams),
+    "extended": Keyword(False, bool),
+    # Below the largest int64: the round count drawn for a run that can never succeed.
+    "max_rounds": Keyword(DEFAULT_MAX_ROUNDS, range(1, np.iinfo(np.int64).max)),
+    "cause_code": Keyword(REQUIRED, range(CAUSE_BOTH, CAUSE_DARK_DARK + 1)),
+    "target_coin": Keyword(0, range(2)),
+    "index_a": Keyword(REQUIRED, range(4)),
+    "index_b": Keyword(REQUIRED, range(4)),
+    "outcome": Keyword(REQUIRED, ("psi-plus", "psi-minus")),
+    "med_model": Keyword("basis-flip", MED_MODELS),
+    "sent": Keyword("plus", SENT_STATES),
+    "condition": Keyword(None, (None, "correct", "wrong")),
+    "count": Keyword("success", ("success", "abort")),
 }
 
-_DEFAULT_PARAMS = {
-    "y": 0.9,
-    "channel": ChannelParams(),
-    "detector": DetectorParams(),
-    "extended": False,
-    "max_rounds": DEFAULT_MAX_ROUNDS,
-    "target_coin": 0,
-    "med_model": "basis-flip",
-    "sent": "plus",
-    "condition": None,
+
+@dataclass(frozen=True)
+class Scenario:
+    """One ``estimate`` scenario: its kernel, its keywords, and its mean's closed form, if any."""
+
+    kernel: Kernel
+    keywords: tuple[str, ...]
+    closed_form: Callable[[dict], float] | None = None
+
+
+_HONEST = ("y", "channel", "detector", "extended", "max_rounds")
+_ATTACK = ("y", "target_coin")
+
+SCENARIOS: dict[str, Scenario] = {
+    "honest-round-abort": Scenario(_kernel_honest_round_abort, _HONEST),
+    "honest-round-cause": Scenario(_kernel_honest_round_cause, (*_HONEST, "cause_code")),
+    "honest-run-abort": Scenario(_kernel_honest_run_abort, _HONEST),
+    # b′ is uniform and independent of the run, so an accepted coin is fair.
+    "honest-coin": Scenario(_kernel_honest_coin, _HONEST, lambda p: 0.5),
+    "bob-med": Scenario(_kernel_bob_med, _ATTACK, lambda p: cheat_bob(p["y"])),
+    "alice-individual": Scenario(
+        _kernel_alice_individual, (*_ATTACK, "med_model", "condition"), _alice_individual_closed_form
+    ),
+    "alice-coherent": Scenario(
+        _kernel_alice_coherent, (*_ATTACK, "sent"), lambda p: cheat_alice_coherent(p["y"])
+    ),
+    # Detector control always succeeds and is never caught.
+    "alice-blinding": Scenario(
+        _kernel_alice_blinding, (*_ATTACK, "count"), lambda p: float(p["count"] == "success")
+    ),
+    "table-cell": Scenario(_kernel_table_cell, ("y", "index_a", "index_b", "outcome")),
+    "cheating-cell": Scenario(_kernel_cheating_cell, ("y", "index_b", "sent", "outcome")),
 }
-# Parameters read from a closed set of values.
-_CHOICES = {
-    "med_model": MED_MODELS,
-    "outcome": ("psi-plus", "psi-minus"),
-    "count": ("success", "abort"),
-    "condition": (None, "correct", "wrong"),
-    "target_coin": (0, 1),
-    "index_a": (0, 1, 2, 3),
-    "index_b": (0, 1, 2, 3),
-    "cause_code": (CAUSE_BOTH, CAUSE_PHOTON_DARK, CAUSE_DARK_DARK),
-}
-# Parameters a scenario reads that have no default.
-_REQUIRED = {
-    "honest-round-cause": ("cause_code",),
-    "table-cell": ("index_a", "index_b", "outcome"),
-    "cheating-cell": ("index_b", "outcome"),
-}
-_PARAM_NAMES = frozenset(_DEFAULT_PARAMS) | set(_CHOICES)
+
+
+def attack_scenario(adversary: str) -> str:
+    """The scenario that estimates an adversary; honest play, ``"none"``, is ``honest-coin``."""
+    return "honest-coin" if adversary == "none" else adversary
+
+
+def _scenario_params(scenario: str, params: dict) -> dict:
+    """Every keyword the scenario takes: the given values, checked, and defaults for the rest."""
+    taken = SCENARIOS[scenario].keywords
+    unknown = set(params) - set(taken)
+    if unknown:
+        raise ParameterError(f"scenario {scenario!r} takes no {sorted(unknown)}; it takes {list(taken)}")
+    missing = [key for key in taken if key not in params and KEYWORDS[key].default is REQUIRED]
+    if missing:
+        raise ParameterError(f"scenario {scenario!r} needs {missing}")
+    for key, value in params.items():
+        KEYWORDS[key].check(key, value)
+    return {key: params.get(key, KEYWORDS[key].default) for key in taken}
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -440,29 +503,15 @@ def estimate(scenario: str, *, trials: int, seed: int, workers: int = 1, **param
     result, for any ``workers`` value: chunk boundaries and chunk seeds
     depend only on the trial index.
     """
-    kernel = SCENARIOS.get(scenario)
-    if kernel is None:
+    spec = SCENARIOS.get(scenario)
+    if spec is None:
         raise UnknownScenarioError(
             f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
         )
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    unknown = set(params) - _PARAM_NAMES
-    if unknown:
-        raise ParameterError(f"no scenario reads {sorted(unknown)}; known: {sorted(_PARAM_NAMES)}")
-    missing = [key for key in _REQUIRED.get(scenario, ()) if key not in params]
-    if missing:
-        raise ParameterError(f"scenario {scenario!r} needs {missing}")
-    merged = dict(_DEFAULT_PARAMS)
-    merged.update(params)
-    validate_y(merged["y"])
-    for key, allowed in _CHOICES.items():
-        if merged.get(key, allowed[0]) not in allowed:
-            raise ParameterError(f"{key} must be one of {allowed}, got {merged[key]!r}")
-    if not merged["max_rounds"] >= 1:
-        raise ParameterError(f"max_rounds must be >= 1, got {merged['max_rounds']}")
+    validate_int("trials", trials, 1)
+    validate_int("workers", workers, 1)
+    validate_int("seed", seed, 0)
+    checked = _scenario_params(scenario, params)
 
     sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
     if trials % CHUNK_SIZE:
@@ -470,7 +519,7 @@ def estimate(scenario: str, *, trials: int, seed: int, workers: int = 1, **param
 
     def run_chunk(index_size: tuple[int, int]) -> tuple[int, int]:
         index, size = index_size
-        return kernel(_chunk_rng(seed, index), size, merged)
+        return spec.kernel(_chunk_rng(seed, index), size, checked)
 
     tasks = list(enumerate(sizes))
     if workers == 1 or len(tasks) == 1:
@@ -490,19 +539,10 @@ def estimate(scenario: str, *, trials: int, seed: int, workers: int = 1, **param
 
 def closed_form_for_attack(name: str, y: float, med_model: str = "basis-flip") -> float:
     """The analytic benchmark matching each attack scenario and rigged-box error model."""
-    if med_model not in MED_MODELS:
-        raise ParameterError(f"med_model must be one of {MED_MODELS}, got {med_model!r}")
-    if name == "bob-med":
-        return cheat_bob(y)
-    if name == "alice-coherent":
-        return cheat_alice_coherent(y)
-    if name == "alice-individual":
-        if med_model == "projective":
-            validate_y(y)
-            return 0.75 + y * (1.0 - y) / 2.0
-        return cheat_alice_individual()
-    if name == "alice-blinding":
-        return 1.0
-    if name == "none":
-        return 0.5
-    raise ParameterError(f"no closed form for attack {name!r}")
+    KEYWORDS["med_model"].check("med_model", med_model)
+    scenario = attack_scenario(name)
+    spec = SCENARIOS.get(scenario)
+    if spec is None or spec.closed_form is None:
+        raise ParameterError(f"no closed form for attack {name!r}")
+    given = {key: value for key, value in (("y", y), ("med_model", med_model)) if key in spec.keywords}
+    return spec.closed_form(_scenario_params(scenario, given))

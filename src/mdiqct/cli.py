@@ -27,34 +27,38 @@ import numpy as np
 from . import adversaries, analysis, protocol
 from .devices import ChannelParams, DetectorParams, single_photon_source, weak_coherent_source
 from .errors import ConfigurationError, ParameterError
-from .qmath import ALL_LABELS, BsmOutcome, cheating_table, verification_table
+from .qmath import ALL_LABELS, SENT_STATES, BsmOutcome, cheating_table, validate_int, verification_table
 
 DEFAULT_SEED = 1
 SEED_ENV_VAR = "MDIQCT_SEED"
+_ADVERSARY_HELP = "in run, bob-med, alice-individual and alice-coherent need ideal devices: --eta 1 --dark 0"
 
-DEFAULTS = {
-    "y": 0.9,
-    "la": 0.0,
-    "lb": 0.0,
-    "loss_coeff": 0.2,
-    "eta": 0.1,
-    "dark": 1e-4,
-    "extended": False,
-    "trials": 100_000,
-    "workers": 1,
-    "target_coin": 0,
-    "adversary": "none",
-    "mode": "mdi",
-    "k_pulses": 10,
-    "mu": 0.5,
-    "med_model": "basis-flip",
-    "sent": "plus",
-    "lmin": 0.0,
-    "lmax": 50.0,
-    "step": 5.0,
-    "tolerance": 1e-10,
-    "max_rounds": protocol.DEFAULT_MAX_ROUNDS,
-    "format": "json",
+# Every option once: its default and the argparse settings of its flag,
+# --<name> with "-" for "_".  The seed's default is read by _default_seed.
+OPTIONS = {
+    "y": (0.9, {"type": float}),
+    "la": (0.0, {"type": float}),
+    "lb": (0.0, {"type": float}),
+    "loss_coeff": (0.2, {"type": float}),
+    "eta": (0.1, {"type": float}),
+    "dark": (1e-4, {"type": float}),
+    "extended": (False, {"action": "store_true", "default": None}),
+    "trials": (100_000, {"type": int}),
+    "workers": (1, {"type": int}),
+    "seed": (None, {"type": int}),
+    "target_coin": (0, {"type": int, "choices": (0, 1)}),
+    "adversary": ("none", {"choices": adversaries.STRATEGY_NAMES, "help": _ADVERSARY_HELP}),
+    "mode": ("mdi", {"choices": [m.value for m in protocol.Mode]}),
+    "k_pulses": (10, {"type": int}),
+    "mu": (0.5, {"type": float}),
+    "max_rounds": (protocol.DEFAULT_MAX_ROUNDS, {"type": int}),
+    "med_model": ("basis-flip", {"choices": adversaries.MED_MODELS}),
+    "sent": ("plus", {"choices": SENT_STATES}),
+    "lmin": (0.0, {"type": float}),
+    "lmax": (50.0, {"type": float}),
+    "step": (5.0, {"type": float}),
+    "tolerance": (1e-10, {"type": float}),
+    "format": ("json", {}),  # each command lists its own formats
 }
 
 LABEL_ORDER = ["00", "01", "10", "11"]  # basis then bit
@@ -74,64 +78,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdiqct", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats=("json", "csv")) -> None:
+    def command(name: str, handler, help_text: str, options: list[str], formats=("json", "csv")) -> None:
+        p = sub.add_parser(name, help=help_text)
+        # A command's options are its own flags; config-file values meet the same checks.
+        actions = {}
+        for key in options:
+            actions[key] = p.add_argument("--" + key.replace("_", "-"), dest=key, **OPTIONS[key][1])
+        if formats:
+            actions["format"] = p.add_argument("--format", choices=formats)
         p.add_argument("--config", help="JSON config file; flags take precedence")
-        p.add_argument("--format", choices=formats, default=None)
         p.add_argument("--out", help="write output to this path instead of stdout")
+        p.set_defaults(handler=handler, option_actions=actions)
 
-    p_tables = sub.add_parser("tables", help="closed-form verification and cheating tables")
-    p_tables.add_argument("--y", type=float, default=None)
-    add_common(p_tables, formats=("json", "csv", "text"))
-
-    p_fair = sub.add_parser("fair", help="fair operating point and bias")
-    p_fair.add_argument("--tolerance", type=float, default=None)
-    add_common(p_fair)
-
-    p_sweep = sub.add_parser("sweep", help="honest-abort probability vs distance")
-    p_sweep.add_argument("--lmin", type=float, default=None)
-    p_sweep.add_argument("--lmax", type=float, default=None)
-    p_sweep.add_argument("--step", type=float, default=None)
-    p_sweep.add_argument("--eta", type=float, default=None)
-    p_sweep.add_argument("--dark", type=float, default=None)
-    p_sweep.add_argument("--loss-coeff", dest="loss_coeff", type=float, default=None)
-    p_sweep.add_argument("--extended", action="store_true", default=None)
-    add_common(p_sweep)
-
-    p_run = sub.add_parser("run", help="stream protocol transcripts (JSON lines)")
-    p_run.add_argument("--trials", type=int, default=None)
-    p_run.add_argument("--y", type=float, default=None)
-    p_run.add_argument("--la", type=float, default=None)
-    p_run.add_argument("--lb", type=float, default=None)
-    p_run.add_argument("--loss-coeff", dest="loss_coeff", type=float, default=None)
-    p_run.add_argument("--eta", type=float, default=None)
-    p_run.add_argument("--dark", type=float, default=None)
-    p_run.add_argument("--extended", action="store_true", default=None)
-    p_run.add_argument("--mode", choices=[m.value for m in protocol.Mode], default=None)
-    p_run.add_argument(
-        "--adversary", choices=adversaries.STRATEGY_NAMES, default=None,
-        help="bob-med, alice-individual and alice-coherent need ideal devices: --eta 1 --dark 0",
+    command(
+        "tables", _cmd_tables, "closed-form verification and cheating tables", ["y"],
+        formats=("json", "csv", "text"),
     )
-    p_run.add_argument("--target-coin", dest="target_coin", type=int, choices=(0, 1), default=None)
-    p_run.add_argument("--k-pulses", dest="k_pulses", type=int, default=None)
-    p_run.add_argument("--mu", type=float, default=None)
-    p_run.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--config", help="JSON config file; flags take precedence")
-    p_run.add_argument("--out", help="write output to this path instead of stdout")
-
-    p_attack = sub.add_parser("attack", help="estimate an adversary's success rate")
-    p_attack.add_argument("--adversary", choices=adversaries.STRATEGY_NAMES, default=None)
-    p_attack.add_argument("--y", type=float, default=None)
-    p_attack.add_argument("--target-coin", dest="target_coin", type=int, choices=(0, 1), default=None)
-    p_attack.add_argument("--trials", type=int, default=None)
-    p_attack.add_argument("--seed", type=int, default=None)
-    p_attack.add_argument("--workers", type=int, default=None)
-    p_attack.add_argument("--med-model", dest="med_model", choices=adversaries.MED_MODELS, default=None)
-    p_attack.add_argument("--sent", choices=adversaries.SENT_STATES, default=None)
-    add_common(p_attack)
-
-    for p in (p_tables, p_fair, p_sweep, p_run, p_attack):  # config-file values meet the same checks
-        p.set_defaults(option_actions={action.dest: action for action in p._actions})
+    command("fair", _cmd_fair, "fair operating point and bias", ["tolerance"])
+    command(
+        "sweep", _cmd_sweep, "honest-abort probability vs distance",
+        ["lmin", "lmax", "step", "eta", "dark", "loss_coeff", "extended"],
+    )
+    command(
+        "run", _cmd_run, "stream protocol transcripts (JSON lines)",
+        ["trials", "y", "la", "lb", "loss_coeff", "eta", "dark", "extended", "mode", "adversary",
+         "target_coin", "k_pulses", "mu", "max_rounds", "seed"],
+        formats=(),
+    )
+    command(
+        "attack", _cmd_attack, "estimate an adversary's success rate",
+        ["adversary", "y", "target_coin", "trials", "seed", "workers", "med_model", "sent"],
+    )
     return parser
 
 
@@ -168,20 +145,18 @@ def _file_value(action: argparse.Action, value):
     return value
 
 
-def _merge_options(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Resolve each option as flag > config file > default."""
-    from_file = {}
-    if getattr(args, "config", None):
-        from_file = _load_config_file(args.config, set(keys) | {"seed"})
+def _merge_options(args: argparse.Namespace) -> dict:
+    """Resolve each of the command's own flags as flag > config file > default."""
+    from_file = _load_config_file(args.config, set(args.option_actions)) if args.config else {}
     opts = {}
-    for key in (keys + ["seed"]) if hasattr(args, "seed") else keys:
-        flag_value = getattr(args, key, None)
+    for key, action in args.option_actions.items():
+        flag_value = getattr(args, key)
         if flag_value is not None:
             opts[key] = flag_value
         elif key in from_file:
-            opts[key] = _file_value(args.option_actions[key], from_file[key])
+            opts[key] = _file_value(action, from_file[key])
         else:
-            opts[key] = _default_seed() if key == "seed" else DEFAULTS[key]
+            opts[key] = _default_seed() if key == "seed" else OPTIONS[key][0]
     if opts.get("seed", 0) < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {opts['seed']}")
     return opts
@@ -216,7 +191,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_tables(args: argparse.Namespace) -> str:
-    opts = _merge_options(args, ["y", "format"])
+    opts = _merge_options(args)
     y = float(opts["y"])
     table = verification_table(y)
     cheat = cheating_table(y)
@@ -235,7 +210,7 @@ def _cmd_tables(args: argparse.Namespace) -> str:
             out.value: [cheat.probability(sent, out, lb) for lb in ALL_LABELS]
             for out in (BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS)
         }
-        for sent in ("plus", "minus")
+        for sent in SENT_STATES
     }
     doc = {
         "command": "tables",
@@ -295,7 +270,7 @@ def _cmd_tables(args: argparse.Namespace) -> str:
 
 
 def _cmd_fair(args: argparse.Namespace) -> str:
-    opts = _merge_options(args, ["tolerance", "format"])
+    opts = _merge_options(args)
     point = analysis.solve_fair_y(float(opts["tolerance"]))
     doc = {
         "command": "fair",
@@ -312,9 +287,7 @@ def _cmd_fair(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    opts = _merge_options(
-        args, ["lmin", "lmax", "step", "eta", "dark", "loss_coeff", "extended", "format"]
-    )
+    opts = _merge_options(args)
     detector = DetectorParams(eta=float(opts["eta"]), dark=float(opts["dark"]))
     points = analysis.sweep_distance(
         float(opts["lmin"]),
@@ -370,13 +343,8 @@ def _build_run_config(opts: dict) -> protocol.RunConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
-    keys = [
-        "trials", "y", "la", "lb", "loss_coeff", "eta", "dark", "extended",
-        "mode", "adversary", "target_coin", "k_pulses", "mu", "max_rounds",
-    ]
-    opts = _merge_options(args, keys)
-    if int(opts["trials"]) < 1:
-        raise ParameterError(f"trials must be >= 1, got {opts['trials']}")
+    opts = _merge_options(args)
+    validate_int("trials", opts["trials"], 1)
     config = _build_run_config(opts)
     strategy = None
     if opts["adversary"] != "none":
@@ -397,18 +365,11 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_attack(args: argparse.Namespace) -> str:
-    keys = ["adversary", "y", "target_coin", "trials", "workers", "med_model", "sent", "format"]
-    opts = _merge_options(args, keys)
+    opts = _merge_options(args)
     name = opts["adversary"]
-    y = float(opts["y"])
-    target = int(opts["target_coin"])
-    scenario_params: dict = {"y": y, "target_coin": target}
-    if name == "alice-individual":
-        scenario_params["med_model"] = opts["med_model"]
-    elif name == "alice-coherent":
-        scenario_params["sent"] = opts["sent"]
     # "none" is honest play, on the estimator's default ideal devices.
-    scenario = "honest-coin" if name == "none" else name
+    scenario = analysis.attack_scenario(name)
+    scenario_params = {key: opts[key] for key in analysis.SCENARIOS[scenario].keywords if key in opts}
     est = analysis.estimate(
         scenario,
         trials=int(opts["trials"]),
@@ -416,18 +377,18 @@ def _cmd_attack(args: argparse.Namespace) -> str:
         workers=int(opts["workers"]),
         **scenario_params,
     )
-    closed = analysis.closed_form_for_attack(name, y, med_model=opts["med_model"])
+    closed = analysis.closed_form_for_attack(name, opts["y"], med_model=opts["med_model"])
     doc = {
         "command": "attack",
         "adversary": name,
-        "y": y,
-        "target_coin": target,
+        "y": opts["y"],
+        "target_coin": opts["target_coin"],
         "trials": int(opts["trials"]),
         "effective_trials": est.trials,
         "seed": est.seed,
         "workers": int(opts["workers"]),
-        "med_model": opts["med_model"] if name == "alice-individual" else None,
-        "sent": opts["sent"] if name == "alice-coherent" else None,
+        "med_model": scenario_params.get("med_model"),
+        "sent": scenario_params.get("sent"),
         "mean": est.mean,
         "stderr": est.stderr,
         "closed_form": closed,
@@ -442,20 +403,11 @@ def _cmd_attack(args: argparse.Namespace) -> str:
     return _render_json(doc)
 
 
-_COMMANDS = {
-    "tables": _cmd_tables,
-    "fair": _cmd_fair,
-    "sweep": _cmd_sweep,
-    "run": _cmd_run,
-    "attack": _cmd_attack,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
+        text = args.handler(args)
     except (ParameterError, ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

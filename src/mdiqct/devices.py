@@ -296,6 +296,5 @@ def sample_bsm_noisy_batch(
 
 def poisson_tail_at_least_two(mu: float) -> float:
     """P(n ≥ 2) for a Poissonian source: 1 − e^(−mu)(1 + mu)."""
-    if mu <= 0.0:
-        raise ParameterError(f"mean photon number must be > 0, got {mu}")
+    weak_coherent_source(mu)  # refuses a mean outside the source's domain
     return float(1.0 - math.exp(-mu) * (1.0 + mu))

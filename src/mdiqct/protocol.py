@@ -60,6 +60,7 @@ from .qmath import (
     PureState,
     StateLabel,
     state_for_label,
+    validate_int,
     validate_y,
     verification_table,
 )
@@ -180,11 +181,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         validate_y(self.y)
-        if self.max_rounds < 1:
-            raise ParameterError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        validate_int("max_rounds", self.max_rounds, 1)
         if self.mode is Mode.MDI_WEAK_COHERENT:
-            if self.k_pulses is None or self.k_pulses < 1:
-                raise ParameterError("weak-coherent mode needs a pulse count K >= 1")
+            validate_int("k_pulses", self.k_pulses, 1)
             if (
                 self.source_a.kind is not SourceKind.WEAK_COHERENT
                 or self.source_b.kind is not SourceKind.WEAK_COHERENT

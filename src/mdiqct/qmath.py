@@ -35,6 +35,15 @@ def validate_y(y: float) -> float:
     return float(y)
 
 
+def validate_int(name: str, value, low: int, high: float = math.inf) -> None:
+    """Check an integer parameter in [low, high]: a Python or numpy integer, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        bounds = f"lie in [{low}, {high}]" if high < math.inf else f"be >= {low}"
+        raise ParameterError(f"{name} must {bounds}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Labels and outcomes
 # ---------------------------------------------------------------------------
@@ -57,8 +66,7 @@ class StateLabel:
 
     @classmethod
     def from_index(cls, index: int) -> "StateLabel":
-        if index not in (0, 1, 2, 3):
-            raise ParameterError(f"label index must be in 0..3, got {index}")
+        validate_int("label index", index, 0, 3)
         return cls(basis=index >> 1, bit=index & 1)
 
 
@@ -257,8 +265,7 @@ def commitment_density(a: int, y: float) -> DensityMatrix:
     cross terms cancel, so the result is diagonal: diag(y, 1−y) for a = 0 and
     diag(1−y, y) for a = 1.
     """
-    if a not in (0, 1):
-        raise ParameterError(f"committed bit must be 0 or 1, got {a}")
+    validate_int("committed bit", a, 0, 1)
     validate_y(y)
     return DensityMatrix.mixture(
         [(0.5, atvy_state(0, a, y).density()), (0.5, atvy_state(1, a, y).density())]
@@ -334,14 +341,16 @@ def verification_table(y: float) -> VerificationTable:
     return VerificationTable(y)
 
 
+# The two cheating states A may send in place of a commitment: |+⟩ and |−⟩.
+SENT_STATES = ("plus", "minus")
+
+
 class CheatingTable:
     """Conditional Bell-outcome probabilities when slot A carries |+⟩ or |−⟩.
 
     For either cheating state the raw success probability is 1/2 for every
     honest B label, so the panels are normalized to p⁺ + p⁻ = 1.
     """
-
-    SENT_STATES = ("plus", "minus")
 
     def __init__(self, y: float) -> None:
         validate_y(y)
@@ -360,15 +369,13 @@ class CheatingTable:
         self._panels = panels
 
     def probability(self, sent: str, outcome: BsmOutcome, label_b: StateLabel) -> float:
-        if sent not in self.SENT_STATES:
-            raise ParameterError(f"sent state must be one of {self.SENT_STATES}, got {sent!r}")
-        if outcome is BsmOutcome.FAILURE:
-            raise ParameterError("no panel for the failure outcome")
-        return float(self._panels[sent][outcome][label_b.index])
+        return float(self.row(sent, outcome)[label_b.index])
 
     def row(self, sent: str, outcome: BsmOutcome) -> np.ndarray:
-        if sent not in self.SENT_STATES:
-            raise ParameterError(f"sent state must be one of {self.SENT_STATES}, got {sent!r}")
+        if sent not in SENT_STATES:
+            raise ParameterError(f"sent state must be one of {SENT_STATES}, got {sent!r}")
+        if outcome is BsmOutcome.FAILURE:
+            raise ParameterError("no panel for the failure outcome")
         return self._panels[sent][outcome]
 
 

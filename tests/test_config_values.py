@@ -1,7 +1,8 @@
-"""Inputs the CLI and the library refuse: typed config values, mu, seeds.
+"""Inputs the CLI and the library refuse: typed config values, mu, seeds, integers.
 
-A config-file value passes the same type and choices as its flag; a usage
-error exits 2 with a message on stderr and writes no output file.
+A config-file value passes the same type and choices as its flag, and a
+command takes only the keys of its own flags; a usage error exits 2 with a
+message on stderr and writes no output file.
 """
 import json
 import math
@@ -11,8 +12,11 @@ import sys
 import pytest
 
 from mdiqct import cli
-from mdiqct.devices import SourceKind, SourceModel, weak_coherent_source
+from mdiqct.adversaries import alice_blinding_attack, bob_med_attack
+from mdiqct.devices import SourceKind, SourceModel, poisson_tail_at_least_two, weak_coherent_source
 from mdiqct.errors import ParameterError
+from mdiqct.protocol import Mode, RunConfig
+from mdiqct.qmath import StateLabel, commitment_density
 
 
 def run_cli(capsys, tmp_path, argv, config=None):
@@ -39,6 +43,9 @@ class TestConfigValuesAreTyped:
             (["run", "--trials", "2"], {"mode": "nope"}),
             (["run", "--trials", "2"], {"seed": "x"}),
             (["run", "--trials", "2"], {"max_rounds": True}),
+            (["fair"], {"seed": -3}),
+            (["tables"], {"seed": 1}),
+            (["sweep"], {"seed": 1}),
         ],
     )
     def test_refused_like_the_flag(self, capsys, tmp_path, argv, config):
@@ -65,6 +72,11 @@ class TestMeanPhotonNumber:
     def test_library_refuses(self, mu):
         with pytest.raises(ParameterError, match="mean photon number"):
             SourceModel(SourceKind.WEAK_COHERENT, mu=mu)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 1e19, 0.0, -1.0])
+    def test_multiphoton_tail_refuses(self, mu):
+        with pytest.raises(ParameterError, match="mean photon number"):
+            poisson_tail_at_least_two(mu)
 
     def test_large_finite_mean_is_accepted(self):
         assert weak_coherent_source(1e18).mu == 1e18
@@ -98,6 +110,30 @@ class TestNegativeSeed:
         code, err, target = run_cli(capsys, tmp_path, ["attack", "--trials", "100"])
         assert code == 2 and "seed" in err
         assert not target.exists()
+
+
+WEAK = weak_coherent_source(0.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RunConfig(max_rounds=2.5),
+        lambda: RunConfig(max_rounds=True),
+        lambda: RunConfig(mode=Mode.MDI_WEAK_COHERENT, source_a=WEAK, source_b=WEAK, k_pulses=2.5),
+        lambda: bob_med_attack(0.9, target_coin=1.0),
+        lambda: alice_blinding_attack(target_coin=True),
+        lambda: StateLabel.from_index(2.0),
+        lambda: commitment_density(1.0, 0.9),
+    ],
+    ids=[
+        "max_rounds-float", "max_rounds-bool", "k_pulses-float", "target-float", "target-bool",
+        "label-index-float", "committed-bit-float",
+    ],
+)
+def test_integer_parameters_refuse_non_integers(build):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        build()
 
 
 def test_package_import_leaves_scipy_stats_unloaded():

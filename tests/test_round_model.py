@@ -190,6 +190,8 @@ class TestEstimateRefusesWhatItWouldIgnore:
             ("table-cell", {"index_b": 0, "outcome": "psi-plus"}),
             ("honest-round-cause", {}),
             ("cheating-cell", {"index_b": 0}),
+            ("bob-med", {"med_model": "projective"}),
+            ("alice-coherent", {"condition": "correct"}),
         ],
     )
     def test_refused(self, scenario, params):
