@@ -282,58 +282,66 @@ def _kernel_honest_coin(rng: np.random.Generator, n: int, p: dict) -> tuple[int,
     pair, _, accept = _honest_runs(rng, n, p)
     a_bit = (pair >> 2) & 1
     b_prime = rng.integers(2, size=n)
-    coin = a_bit ^ b_prime
-    return int(((coin == 0) & accept).sum()), int(accept.sum())
+    return np.count_nonzero((a_bit == b_prime) & accept), np.count_nonzero(accept)  # coin a ⊕ b′ = 0
+
+
+def _fair_bits(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, ...]:
+    """``count`` (at most 8) independent fair bits per trial, each a distinct
+    bit of one random byte: a tuple of uint8 arrays of 0s and 1s."""
+    byte = rng.integers(0, 256, size=n, dtype=np.uint8)
+    return tuple((byte >> k) & 1 for k in range(count))
+
+
+def _born(rng: np.random.Generator, n: int, index: np.ndarray, probs) -> np.ndarray:
+    """One Born outcome per trial, ``rng.random(n) < probs[index]``.
+
+    The comparison runs once per entry of the short ``probs`` instead of
+    gathering a float threshold per trial, which costs several times more.
+    """
+    u = rng.random(n)
+    hit = np.zeros(n, dtype=bool)
+    for i, prob in enumerate(probs):
+        hit |= (index == i) & (u < prob)
+    return hit
 
 
 def _kernel_bob_med(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """B's discrimination attack: {H, V} measurement on A's state."""
     y = p["y"]
-    ia = rng.integers(4, size=n)
-    a_bit = ia & 1
-    p_h = np.where(a_bit == 0, y, 1.0 - y)  # |⟨H|state⟩|² for each committed bit
-    guessed = (rng.random(n) >= p_h).astype(np.int64)
-    # b' = guess ⊕ target lands the coin on target iff the guess is right.
-    return int((guessed == a_bit).sum()), n
+    (a_bit,) = _fair_bits(rng, n, 1)  # A's committed bit; her basis plays no part
+    h = _born(rng, n, a_bit, (y, 1.0 - y))  # |⟨H|state⟩|² for each committed bit
+    # B guesses 0 on H; b' = guess ⊕ target lands the coin on target iff the guess is right.
+    return np.count_nonzero(h != a_bit), n
 
 
 def _kernel_alice_individual(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """A's rigged-box attack, sampled through the real verification check."""
-    y = p["y"]
-    target = p["target_coin"]
-    ib = rng.integers(4, size=n)
-    beta, b_bit = ib >> 1, ib & 1
-
+    # B's label (β, b), the box's choice, the announced outcome, b′ and A's free α.
+    beta, b_bit, box_choice, out_minus, b_prime, alpha_free = _fair_bits(rng, n, 6)
     if p["med_model"] == "projective":
-        m_basis = rng.integers(2, size=n)
-        correct = m_basis == beta
-        keep_bit = rng.random(n) < (2.0 * y - 1.0) ** 2
-        g_bit = np.where(correct, b_bit, np.where(keep_bit, b_bit, b_bit ^ 1))
-        g_basis = m_basis
-    else:  # basis-flip benchmark model
-        correct = rng.random(n) < 0.5
-        g_basis = np.where(correct, beta, beta ^ 1)
-        g_bit = b_bit.copy()
+        # The box measures in a uniform basis; in the wrong one it keeps B's bit
+        # with probability (2y − 1)², else flips it.
+        g_basis = box_choice
+        wrong = g_basis ^ beta
+        keep = rng.random(n) < (2.0 * p["y"] - 1.0) ** 2
+        g_bit = b_bit ^ (wrong & ~keep)
+    else:  # basis-flip benchmark model: a fair coin flips the basis, never the bit
+        wrong = box_choice
+        g_basis, g_bit = beta ^ wrong, b_bit
 
-    out_minus = rng.random(n) < 0.5  # announced outcome, uniform
-    b_prime = rng.integers(2, size=n)
-    a_bit = b_prime ^ target
+    a_bit = b_prime ^ p["target_coin"]
+    # A pins α to the guessed basis (flipped on Ψ⁻) when her bit equals the
+    # guessed bit, else keeps her free α; a bitwise select, as np.where is slow.
     pinned = g_bit == a_bit
-    alpha_pinned = np.where(out_minus, g_basis ^ 1, g_basis)
-    alpha_free = rng.integers(2, size=n)
-    alpha = np.where(pinned, alpha_pinned, alpha_free)
-
-    caught = (b_bit == a_bit) & ((beta == alpha) == out_minus)
-    success = ~caught
+    alpha = alpha_free ^ (pinned & (alpha_free ^ g_basis ^ out_minus))
+    # B catches her on a zero cell: equal bits, and bases equal iff the outcome is Ψ⁻.
+    caught = (b_bit == a_bit) & ((beta ^ alpha) != out_minus)
 
     condition = p["condition"]
-    if condition == "correct":
-        mask = correct
-    elif condition == "wrong":
-        mask = ~correct
-    else:
-        mask = np.ones(n, dtype=bool)
-    return int((success & mask).sum()), int(mask.sum())
+    if condition is None:
+        return n - np.count_nonzero(caught), n
+    mask = wrong == (condition == "wrong")
+    return np.count_nonzero(mask & ~caught), np.count_nonzero(mask)
 
 
 def _kernel_alice_coherent(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
@@ -343,33 +351,24 @@ def _kernel_alice_coherent(rng: np.random.Generator, n: int, p: dict) -> tuple[i
     the first successful round leaves the label distribution uniform and the
     outcome follows the normalized cheating-table row.
     """
-    y = p["y"]
-    target = p["target_coin"]
     sent = p["sent"]
-    table = cheating_table(y)
-    cond_plus = np.array(table.row(sent, BsmOutcome.PSI_PLUS))
-    ib = rng.integers(4, size=n)
-    beta, b_bit = ib >> 1, ib & 1
-    out_minus = rng.random(n) >= cond_plus[ib]
-    b_prime = rng.integers(2, size=n)
-    a_bit = b_prime ^ target
+    cond_plus = cheating_table(p["y"]).row(sent, BsmOutcome.PSI_PLUS)
+    beta, b_bit, b_prime = _fair_bits(rng, n, 3)
+    out_minus = ~_born(rng, n, 2 * beta + b_bit, cond_plus)
+    a_bit = b_prime ^ p["target_coin"]
     alpha = a_bit if sent == "plus" else a_bit ^ 1
-    caught = (b_bit == a_bit) & ((beta == alpha) == out_minus)
-    return int((~caught).sum()), n
+    caught = (b_bit == a_bit) & ((beta ^ alpha) != out_minus)
+    return n - np.count_nonzero(caught), n
 
 
 def _kernel_alice_blinding(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Detector-control attack on the baseline flow; counts per ``count`` key."""
-    target = p["target_coin"]
-    bob_basis = rng.integers(2, size=n)
-    recorded = rng.integers(2, size=n)
-    b_prime = rng.integers(2, size=n)
-    a_bit = b_prime ^ target
-    alpha = np.where(recorded == a_bit, bob_basis, bob_basis ^ 1)
+    bob_basis, recorded, b_prime = _fair_bits(rng, n, 3)
+    a_bit = b_prime ^ p["target_coin"]
+    alpha = bob_basis ^ recorded ^ a_bit  # B's basis when the recorded bit is hers
     caught = (bob_basis == alpha) & (recorded != a_bit)
-    if p["count"] == "abort":
-        return int(caught.sum()), n
-    return int((~caught).sum()), n
+    aborted = np.count_nonzero(caught)
+    return (aborted if p["count"] == "abort" else n - aborted), n
 
 
 def _kernel_table_cell(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
@@ -528,8 +527,8 @@ def estimate(scenario: str, *, trials: int, seed: int, workers: int = 1, **param
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_chunk, tasks))
 
-    num = sum(r[0] for r in results)
-    den = sum(r[1] for r in results)
+    num = sum(int(r[0]) for r in results)  # kernels may count with numpy integers
+    den = sum(int(r[1]) for r in results)
     if den == 0:
         return Estimate(mean=float("nan"), stderr=float("nan"), trials=0, seed=seed)
     mean = num / den

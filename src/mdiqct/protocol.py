@@ -268,12 +268,23 @@ def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p_plus, p_minus, zero
 
 
+# Buckets of the deciding-cell guide table.  A power of two, so u·M and
+# c·M are exact and each bucket [b/M, (b+1)/M) has exact bounds.
+GUIDE_BUCKETS = 1 << 12
+# Below this many runs a binary search costs less than the guide lookup's
+# fixed overhead (one-run calls such as run_honest).
+GUIDE_MIN_BATCH = 256
+
+
 @lru_cache(maxsize=32)
 def _success_table(
     y: float, channel: ChannelParams, detector: DetectorParams, extended: bool
-) -> tuple[float, np.ndarray]:
-    """Per-round success probability and the normalized cumulative weights of
-    the 16 × 6 successful (label pair, band) cells, pair-major."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Per-round success probability, the normalized cumulative weights of
+    the 16 × 6 successful (label pair, band) cells, pair-major, and their
+    int8 guide table over ``GUIDE_BUCKETS`` buckets of [0, 1): entry b is the
+    cell of every u in [b/M, (b+1)/M) when no cumulative weight falls
+    strictly inside that bucket, and −1 when one does."""
     p_plus, p_minus, _ = _label_tables(y)
     genuine, pd, dd, _ = devices.round_rates(channel.t_a, channel.t_b, detector, extended)
     success = np.column_stack([np.tile((pd, pd, dd, dd), (16, 1)), genuine * p_plus, genuine * p_minus])
@@ -281,8 +292,28 @@ def _success_table(
     p_round = float(cumulative[-1]) / 16.0  # uniform pairs: 1/16 each
     if p_round > 0.0:
         cumulative /= cumulative[-1]
-    cumulative.setflags(write=False)
-    return p_round, cumulative
+    # The cell of u is #{c <= u}.  At u = b/M that is #{c·M <= b} = #{ceil(c·M) <= b},
+    # and it holds over the whole bucket unless some c·M lies in (b, b+1).
+    scaled = cumulative * GUIDE_BUCKETS
+    counts = np.bincount(np.ceil(scaled).astype(np.intp), minlength=GUIDE_BUCKETS + 1)
+    guide = counts[:GUIDE_BUCKETS].cumsum().astype(np.int8)
+    guide[scaled[scaled % 1.0 != 0.0].astype(np.intp)] = -1
+    for arr in (cumulative, guide):
+        arr.setflags(write=False)
+    return p_round, cumulative, guide
+
+
+def _deciding_cells(u: np.ndarray, cumulative: np.ndarray, guide: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cumulative, u, side="right")`` as int8, for u in [0, 1).
+
+    A bucket lookup in the guide table settles most uniforms; only those in
+    a bucket that a cumulative weight cuts are searched.  The cell is
+    monotone in u and u·M is exact, so the result is the same bit for bit.
+    """
+    cell = guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+    unsure = np.flatnonzero(cell < 0)
+    cell[unsure] = cumulative.searchsorted(u[unsure], side="right")
+    return cell
 
 
 def sample_deciding_rounds(
@@ -292,17 +323,24 @@ def sample_deciding_rounds(
 
     Rounds are i.i.d., so the deciding round is one round conditioned on
     success and the round count is Geometric(p_round).  One uniform per run
-    picks the (label pair, band) cell, then one geometric draw gives the
+    picks the (label pair, band) cell by inverting the cumulative cell
+    weights: a binary search for fewer than ``GUIDE_MIN_BATCH`` runs, else
+    the guide-table lookup of :func:`_deciding_cells`, which finds the same
+    cell bit for bit.  Then one geometric draw gives the
     round count; the band indexes :data:`~mdiqct.devices.BAND_SAMPLES`.  If
     p_round = 0 nothing is drawn: ``rounds`` is the largest int64, the pair
     −1 and the band the failure band.
     """
-    p_round, cumulative = _success_table(y, channel, detector, extended)
+    p_round, cumulative, guide = _success_table(y, channel, detector, extended)
     if p_round <= 0.0:
         never = np.full(n, np.iinfo(np.int64).max)
         return never, np.full(n, -1, np.int8), np.full(n, devices.FAILURE_BAND, np.int8)
     # int8 cells (< 96) keep the split and every caller's array arithmetic cheap.
-    cell = np.searchsorted(cumulative, rng.random(n), side="right").astype(np.int8)
+    u = rng.random(n)
+    if n < GUIDE_MIN_BATCH:
+        cell = cumulative.searchsorted(u, side="right").astype(np.int8)
+    else:
+        cell = _deciding_cells(u, cumulative, guide)
     pair = cell // 6
     return rng.geometric(p_round, size=n), pair, cell - 6 * pair
 
@@ -494,7 +532,7 @@ def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript
 
 def _measure_in_basis(state: PureState, basis: int, y: float, rng: np.random.Generator) -> int:
     """Projective measurement in one preparation basis; returns the bit."""
-    p0 = abs(state.overlap(state_for_label(StateLabel(basis, 0), y))) ** 2
+    p0 = abs(state.overlap(state_for_label(ALL_LABELS[2 * basis], y))) ** 2
     return 0 if rng.random() < p0 else 1
 
 
@@ -527,7 +565,7 @@ def _run_baseline(config: RunConfig, strategy, rng: np.random.Generator) -> Tran
     alice = ALL_LABELS[rng.integers(4)]
     bob_basis = int(rng.integers(2))
     recorded = _measure_in_basis(state_for_label(alice, config.y), bob_basis, config.y, rng)
-    return run.finish(rounds, None, alice, StateLabel(bob_basis, recorded), "baseline-detection")
+    return run.finish(rounds, None, alice, ALL_LABELS[2 * bob_basis + recorded], "baseline-detection")
 
 
 def run_baseline(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -29,7 +30,11 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def validate_y(y: float) -> float:
-    """Check the state-family coefficient y, which must lie in (1/2, 1)."""
+    """Check the state-family coefficient y: a real number (a Python or numpy
+    float or integer, never a bool) in (1/2, 1)."""
+    # A Python float is tested first: state builders call this once per round.
+    if type(y) is not float and (isinstance(y, bool) or not isinstance(y, (int, np.floating, np.integer))):
+        raise ParameterError(f"coefficient y must be a real number, got {y!r}")
     if not (0.5 < y < 1.0):
         raise ParameterError(f"coefficient y must lie in (1/2, 1), got {y}")
     return float(y)
@@ -56,8 +61,8 @@ class StateLabel:
     bit: int
 
     def __post_init__(self) -> None:
-        if self.basis not in (0, 1) or self.bit not in (0, 1):
-            raise ParameterError(f"label fields must be bits, got {self}")
+        validate_int("label basis", self.basis, 0, 1)
+        validate_int("label bit", self.bit, 0, 1)
 
     @property
     def index(self) -> int:
@@ -380,6 +385,12 @@ class CheatingTable:
 
 
 def cheating_table(y: float) -> CheatingTable:
+    """The cheating table at y, shared between callers (its panels are read-only)."""
+    return _cheating_table(validate_y(y))
+
+
+@lru_cache(maxsize=32)
+def _cheating_table(y: float) -> CheatingTable:
     return CheatingTable(y)
 
 

@@ -371,3 +371,44 @@ class TestEstimatorAgainstClosedForms:
     def test_blinding_abort_count_is_zero(self):
         est = estimate("alice-blinding", trials=200_000, seed=54, count="abort")
         assert est.mean == 0.0
+
+
+class TestAttackLadderGate:
+    """Every row of the ``attack`` table at 10⁷ trials, 5σ from its closed form.
+
+    At this size 5σ is below 10⁻³ for every row, so a kernel that is off by
+    10⁻³ fails here although the 20,000-trial hypothesis gate cannot see it.
+    """
+
+    TRIALS = 10_000_000
+    VARIANTS = [
+        ("none", {}),
+        ("bob-med", {}),
+        ("alice-individual", {"med_model": "basis-flip"}),
+        ("alice-individual", {"med_model": "projective"}),
+        ("alice-coherent", {"sent": "plus"}),
+        ("alice-coherent", {"sent": "minus"}),
+        ("alice-blinding", {}),
+    ]
+
+    @pytest.mark.parametrize("adversary, extra", VARIANTS, ids=["/".join([a, *e.values()]) for a, e in VARIANTS])
+    def test_row_within_5_sigma_of_closed_form(self, adversary, extra):
+        scenario = analysis.attack_scenario(adversary)
+        params = dict(extra, y=0.9)
+        if "target_coin" in analysis.SCENARIOS[scenario].keywords:
+            params["target_coin"] = 1
+        expected = closed_form_for_attack(adversary, 0.9, med_model=extra.get("med_model", "basis-flip"))
+        est = estimate(scenario, trials=self.TRIALS, seed=2026, workers=2, **params)
+        assert est.trials > 0.4 * self.TRIALS
+        tolerance = 5.0 * math.sqrt(expected * (1.0 - expected) / est.trials)
+        assert tolerance < 1e-3
+        assert abs(est.mean - expected) <= tolerance, (adversary, extra, est, expected)
+
+
+class TestNonRealY:
+    @pytest.mark.parametrize("y", ["0.9", None, 0.9j])
+    def test_estimate_and_closed_form_refuse_it(self, y):
+        with pytest.raises(ParameterError, match="real number"):
+            estimate("bob-med", trials=10, seed=0, y=y)
+        with pytest.raises(ParameterError, match="real number"):
+            closed_form_for_attack("bob-med", y)

@@ -9,12 +9,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_within_sigmas
-from mdiqct.analysis import bsm_success_probability
+from mdiqct.analysis import bsm_success_probability, estimate
 from mdiqct.devices import BAND_SAMPLES, ChannelParams, DetectorParams
 from mdiqct.errors import ExhaustionError
-from mdiqct.protocol import Mode, RunConfig, run_baseline, run_honest, sample_deciding_rounds
+from mdiqct.protocol import (
+    GUIDE_BUCKETS,
+    GUIDE_MIN_BATCH,
+    Mode,
+    RunConfig,
+    _deciding_cells,
+    _success_table,
+    run_baseline,
+    run_honest,
+    sample_deciding_rounds,
+)
 from mdiqct.qmath import ALL_LABELS
 
 REFERENCE = RunConfig(channel=ChannelParams(10.0, 10.0), detector=DetectorParams(eta=0.1, dark=1e-4))
@@ -99,3 +111,77 @@ class TestRoundsField:
             except ExhaustionError:
                 exhausted += 1
         assert_within_sigmas(exhausted / n, expected, math.sqrt(expected * (1.0 - expected) / n), sigmas=4.0)
+
+
+def operating_points(*special):
+    return st.one_of(st.sampled_from(special), st.floats(min(special), max(special)))
+
+
+class TestGuideTable:
+    """The guide-table lookup of the deciding cell is a binary search, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        y=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+        l_a=operating_points(0.0, 200.0),
+        l_b=operating_points(0.0, 200.0),
+        eta=operating_points(0.0, 1.0),
+        dark=operating_points(0.0, 0.5),
+        extended=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lookup_equals_searchsorted(self, y, l_a, l_b, eta, dark, extended, seed):
+        table = _success_table(y, ChannelParams(l_a, l_b), DetectorParams(eta=eta, dark=dark), extended)
+        p_round, cumulative, guide = table
+        assume(p_round > 0.0)  # otherwise no cell is drawn
+        starts = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+        edges = cumulative[cumulative < 1.0]
+        u = np.concatenate([
+            [0.0, 1.0 - 2.0**-53],
+            starts,
+            np.nextafter(starts[1:], 0.0),
+            edges,
+            np.nextafter(edges[edges > 0.0], 0.0),
+            np.random.default_rng(seed).random(4 * GUIDE_BUCKETS),
+        ])
+        expected = np.searchsorted(cumulative, u, side="right")
+        for size in (1, u.size):
+            cells = _deciding_cells(u[-size:], cumulative, guide)
+            assert cells.dtype == np.int8
+            np.testing.assert_array_equal(cells, expected[-size:])
+
+    @pytest.mark.parametrize("n", [1, GUIDE_MIN_BATCH - 1, GUIDE_MIN_BATCH, 3 * GUIDE_MIN_BATCH])
+    def test_batch_size_picks_no_other_cells(self, n):
+        """Small batches are searched outright, larger ones looked up: one uniform stream either way."""
+        config = LOSSY_DARK
+        args = (config.y, config.channel, config.detector, config.extended_dark_model)
+        _, cumulative, _ = _success_table(*args)
+        _, pair, band = sample_deciding_rounds(*args, np.random.default_rng(n), n)
+        cells = np.searchsorted(cumulative, np.random.default_rng(n).random(n), side="right")
+        np.testing.assert_array_equal(6 * pair.astype(int) + band, cells)
+
+
+class TestPinnedHonestEstimates:
+    """Honest estimates frozen from the binary-search sampler: the guide table changes no draw."""
+
+    LOSSY = dict(channel=LOSSY_DARK.channel, detector=LOSSY_DARK.detector)
+    FAR = dict(channel=ChannelParams(40.0, 40.0), detector=DetectorParams(eta=0.1, dark=1e-4))
+
+    @pytest.mark.parametrize(
+        "scenario, seed, params, mean, trials",
+        [
+            ("honest-run-abort", 0, LOSSY, 0.056436801914558174, 300_017),
+            ("honest-coin", 1, LOSSY, 0.49921055141306, 283_109),
+            ("honest-coin", 0, dict(LOSSY, extended=True), 0.4999365010250549, 275_595),
+            ("honest-run-abort", 2, dict(FAR, max_rounds=30), 2.6665155641180333e-05, 300_017),
+            (
+                "honest-run-abort", 0,
+                dict(channel=ChannelParams(5.0, 5.0), detector=DetectorParams(eta=0.0, dark=1e-3)),
+                0.2454827559771613, 300_017,
+            ),
+        ],
+        ids=["lossy", "coin", "extended", "max-rounds-30", "eta-0"],
+    )
+    def test_estimate_is_unchanged(self, scenario, seed, params, mean, trials):
+        est = estimate(scenario, trials=300_017, seed=seed, **params)
+        assert (est.mean, est.trials) == (mean, trials)

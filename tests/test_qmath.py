@@ -31,6 +31,7 @@ from mdiqct.qmath import (
     minus_state,
     plus_state,
     trace_distance,
+    validate_y,
     verification_table,
 )
 
@@ -299,6 +300,38 @@ class TestCheatingTable:
     def test_bad_sent_state(self):
         with pytest.raises(ParameterError):
             cheating_table(0.9).probability("circle", BsmOutcome.PSI_PLUS, StateLabel(0, 0))
+
+    def test_shared_per_y_and_refuses_what_validate_y_refuses(self):
+        assert cheating_table(0.9) is cheating_table(np.float64(0.9))
+        assert cheating_table(0.8) is not cheating_table(0.9)
+        for y in ("0.9", [0.9], 1.0):
+            with pytest.raises(ParameterError):
+                cheating_table(y)
+
+
+class TestInputTypes:
+    @pytest.mark.parametrize("y", ["0.9", None, 0.9j, complex(0.9, 0.0), True, [0.9]])
+    def test_validate_y_refuses_non_real(self, y):
+        with pytest.raises(ParameterError):
+            validate_y(y)
+
+    @pytest.mark.parametrize("y", [0.9, np.float64(0.9), np.float32(0.75), 0.6])
+    def test_validate_y_accepts_python_and_numpy_floats(self, y):
+        assert validate_y(y) == float(y)
+
+    @pytest.mark.parametrize("y", [1, 0, np.int64(1)])
+    def test_integers_are_real_but_outside_the_interval(self, y):
+        with pytest.raises(ParameterError, match=r"\(1/2, 1\)"):
+            validate_y(y)
+
+    @pytest.mark.parametrize("fields", [(1.0, 0), (0, 1.0), (True, 0), (0, False), ("1", 0), (2, 0), (0, -1)])
+    def test_state_label_refuses_non_bit_fields(self, fields):
+        with pytest.raises(ParameterError):
+            StateLabel(*fields)
+
+    def test_state_label_takes_numpy_integers(self):
+        label = StateLabel(np.int8(1), np.int64(0))
+        assert label == ALL_LABELS[2] and label.index == 2
 
 
 class TestTraceDistance:

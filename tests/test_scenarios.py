@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdiqct.analysis import KEYWORDS, REQUIRED, SCENARIOS, estimate
+from mdiqct.analysis import CHUNK_SIZE, KEYWORDS, REQUIRED, SCENARIOS, estimate
 from mdiqct.errors import ParameterError
 from mdiqct.qmath import validate_y
 
@@ -135,3 +135,12 @@ def test_sampled_mean_within_4_sigma_of_closed_form(point):
     assert est.trials > 0
     sigma = math.sqrt(expected * (1.0 - expected) / est.trials)
     assert abs(est.mean - expected) <= 4.0 * sigma, (scenario, params, est)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_worker_count_leaves_every_scenario_bit_identical(scenario):
+    trials = 3 * CHUNK_SIZE + 17
+    one, two, three = (
+        estimate(scenario, trials=trials, seed=5, workers=workers, **required(scenario)) for workers in (1, 2, 3)
+    )
+    assert one == two == three
