@@ -32,7 +32,7 @@ _SQRT2 = math.sqrt(2.0)
 def validate_y(y: float) -> float:
     """Check the state-family coefficient y: a real number (a Python or numpy
     float or integer, never a bool) in (1/2, 1)."""
-    # A Python float is tested first: state builders call this once per round.
+    # A Python float is tested first: the state constructors call this once per round.
     if type(y) is not float and (isinstance(y, bool) or not isinstance(y, (int, np.floating, np.integer))):
         raise ParameterError(f"coefficient y must be a real number, got {y!r}")
     if not (0.5 < y < 1.0):

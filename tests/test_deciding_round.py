@@ -114,6 +114,7 @@ class TestRoundsField:
 
 
 def operating_points(*special):
+    """Floats between the special values, which are drawn exactly as well."""
     return st.one_of(st.sampled_from(special), st.floats(min(special), max(special)))
 
 
@@ -131,8 +132,8 @@ class TestGuideTable:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_lookup_equals_searchsorted(self, y, l_a, l_b, eta, dark, extended, seed):
-        table = _success_table(y, ChannelParams(l_a, l_b), DetectorParams(eta=eta, dark=dark), extended)
-        p_round, cumulative, guide = table
+        detector = DetectorParams(eta=eta, dark=dark)
+        p_round, cumulative, guide = _success_table(y, ChannelParams(l_a, l_b), detector, extended)
         assume(p_round > 0.0)  # otherwise no cell is drawn
         starts = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
         edges = cumulative[cumulative < 1.0]
