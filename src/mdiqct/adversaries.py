@@ -125,14 +125,14 @@ class ColludingBoxIndividual(AdversaryStrategy):
     ) -> tuple[BsmOutcome, StateLabel]:
         if self.med_model == "projective":
             basis = int(rng.integers(2))
-            p0 = abs(bob_state.overlap(state_for_label(StateLabel(basis, 0), self.y))) ** 2
-            guess = StateLabel(basis, 0 if rng.random() < p0 else 1)
+            p0 = abs(bob_state.overlap(state_for_label(ALL_LABELS[2 * basis], self.y))) ** 2
+            guess = ALL_LABELS[2 * basis + (0 if rng.random() < p0 else 1)]
         else:
             actual = self._identify(bob_state)
             if rng.random() < 0.5:
                 guess = actual
             else:
-                guess = StateLabel(actual.basis ^ 1, actual.bit)
+                guess = ALL_LABELS[actual.index ^ 2]
         outcome = BsmOutcome.PSI_PLUS if rng.random() < 0.5 else BsmOutcome.PSI_MINUS
         return outcome, guess
 
@@ -145,7 +145,7 @@ class ColludingBoxIndividual(AdversaryStrategy):
             basis = guess.basis if outcome is BsmOutcome.PSI_PLUS else guess.basis ^ 1
         else:
             basis = int(rng.integers(2))
-        return StateLabel(basis, a)
+        return ALL_LABELS[2 * basis + a]
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ class CoherentStateAlice(AdversaryStrategy):
     def reveal(self, view: RunView, rng: np.random.Generator) -> StateLabel:
         a = view.b_prime ^ self.target_coin
         basis = a if self.sent == "plus" else a ^ 1
-        return StateLabel(basis, a)
+        return ALL_LABELS[2 * basis + a]
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class DetectorControlAlice(AdversaryStrategy):
         bob_basis, recorded = view.detection_record
         a = view.b_prime ^ self.target_coin
         basis = bob_basis if recorded == a else bob_basis ^ 1
-        return StateLabel(basis, a)
+        return ALL_LABELS[2 * basis + a]
 
 
 # ---------------------------------------------------------------------------

@@ -272,8 +272,10 @@ def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # c·M are exact and each bucket [b/M, (b+1)/M) has exact bounds.
 GUIDE_BUCKETS = 1 << 12
 # Below this many runs a binary search costs less than the guide lookup's
-# fixed overhead (one-run calls such as run_honest).
-GUIDE_MIN_BATCH = 256
+# fixed overhead of about 5 µs: one uniform searches in ~1 µs, and the two
+# break even between 384 and 640 uniforms (timeit, 2-vCPU x86-64 host).
+# One-run calls such as run_honest take the search.
+GUIDE_MIN_BATCH = 512
 
 
 @lru_cache(maxsize=32)
@@ -556,7 +558,7 @@ def _run_baseline(config: RunConfig, strategy, rng: np.random.Generator) -> Tran
         bob_basis = int(rng.integers(2))
         recorded = run.strategy.control_detection(run.view, bob_basis, rng)
         run.view._detection_record = (bob_basis, recorded)
-        return run.finish(1, None, None, StateLabel(bob_basis, recorded), "controlled-detection")
+        return run.finish(1, None, None, ALL_LABELS[2 * bob_basis + recorded], "controlled-detection")
 
     detect_prob = config.channel.t_a * config.detector.eta
     rounds = int(rng.geometric(detect_prob)) if detect_prob > 0.0 else None

@@ -13,6 +13,7 @@ immutable and safe to share across workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -30,10 +31,10 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def validate_y(y: float) -> float:
-    """Check the state-family coefficient y: a real number (a Python or numpy
-    float or integer, never a bool) in (1/2, 1)."""
+    """Check the state-family coefficient y: a real number (``numbers.Real``,
+    which numpy floats and integers are too; never a bool) in (1/2, 1)."""
     # A Python float is tested first: the state constructors call this once per round.
-    if type(y) is not float and (isinstance(y, bool) or not isinstance(y, (int, np.floating, np.integer))):
+    if type(y) is not float and (isinstance(y, bool) or not isinstance(y, numbers.Real)):
         raise ParameterError(f"coefficient y must be a real number, got {y!r}")
     if not (0.5 < y < 1.0):
         raise ParameterError(f"coefficient y must lie in (1/2, 1), got {y}")

@@ -6,6 +6,7 @@ pattern {2y(1-y), (1-2y)^2/2, 0, 1/2}, and the trace-distance and
 Helstrom values come from the pure-state overlap formula.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ class TestInputTypes:
         with pytest.raises(ParameterError):
             validate_y(y)
 
-    @pytest.mark.parametrize("y", [0.9, np.float64(0.9), np.float32(0.75), 0.6])
-    def test_validate_y_accepts_python_and_numpy_floats(self, y):
+    @pytest.mark.parametrize("y", [0.9, np.float64(0.9), np.float32(0.75), 0.6, Fraction(9, 10)])
+    def test_validate_y_accepts_real_numbers(self, y):
         assert validate_y(y) == float(y)
 
     @pytest.mark.parametrize("y", [1, 0, np.int64(1)])
