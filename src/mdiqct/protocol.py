@@ -558,7 +558,8 @@ def _run_baseline(config: RunConfig, strategy, rng: np.random.Generator) -> Tran
         bob_basis = int(rng.integers(2))
         recorded = run.strategy.control_detection(run.view, bob_basis, rng)
         run.view._detection_record = (bob_basis, recorded)
-        return run.finish(1, None, None, ALL_LABELS[2 * bob_basis + recorded], "controlled-detection")
+        # StateLabel checks the bit that the strategy chose.
+        return run.finish(1, None, None, StateLabel(bob_basis, recorded), "controlled-detection")
 
     detect_prob = config.channel.t_a * config.detector.eta
     rounds = int(rng.geometric(detect_prob)) if detect_prob > 0.0 else None
