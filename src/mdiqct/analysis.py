@@ -35,7 +35,7 @@ from .devices import (
     sample_bsm_noisy_batch,
 )
 from .errors import ParameterError, UnknownScenarioError
-from .protocol import DEFAULT_MAX_ROUNDS, _label_tables, sample_deciding_rounds
+from .protocol import DEFAULT_MAX_ROUNDS, _label_tables, sample_deciding_cells
 from .qmath import ALL_LABELS, SENT_STATES, BsmOutcome, cheating_table, validate_int, validate_y
 # verification_table is unused here but stays importable from this module:
 # perfbench/tracer.py wraps analysis.verification_table by name.
@@ -261,14 +261,20 @@ def _kernel_honest_round_cause(rng: np.random.Generator, n: int, p: dict) -> tup
     return int((cause[success] == p["cause_code"]).sum()), int(success.sum())
 
 
+# A's bit by deciding cell 6·pair + band: pair 4·a + b holds A's label a = 2·basis + bit.
+_A_BIT_BY_CELL = (np.arange(96) // 24) & 1
+
+
 def _honest_runs(rng: np.random.Generator, n: int, p: dict) -> tuple[np.ndarray, ...]:
-    """(label pair, abort, accept) of full honest runs; an exhausted run does neither."""
-    rounds, pair, band = sample_deciding_rounds(p["y"], p["channel"], p["detector"], p["extended"], rng, n)
+    """(deciding cell, abort, accept) of full honest runs; an exhausted run does neither."""
+    cell, found = sample_deciding_cells(
+        p["y"], p["channel"], p["detector"], p["extended"], p["max_rounds"], rng, n
+    )
+    # Gathers with intp indices cost about a third of int8 ones, which pays for the cast.
+    cell = cell.astype(np.intp)
     _, _, zero = _label_tables(p["y"])
-    abort_by_cell = zero[BAND_OUTCOME[:6]].T.ravel()  # flat index 6·pair + band
-    found = rounds <= p["max_rounds"]
-    abort = abort_by_cell[6 * pair + band] & found
-    return pair, abort, found & ~abort
+    abort = zero[BAND_OUTCOME[:6]].T.ravel()[cell] & found  # flat index 6·pair + band
+    return cell, abort, found & ~abort
 
 
 def _kernel_honest_run_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
@@ -279,10 +285,10 @@ def _kernel_honest_run_abort(rng: np.random.Generator, n: int, p: dict) -> tuple
 
 def _kernel_honest_coin(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Coin value over accepting honest runs; counts coin == 0."""
-    pair, _, accept = _honest_runs(rng, n, p)
-    a_bit = (pair >> 2) & 1
+    cell, _, accept = _honest_runs(rng, n, p)
     b_prime = rng.integers(2, size=n)
-    return np.count_nonzero((a_bit == b_prime) & accept), np.count_nonzero(accept)  # coin a ⊕ b′ = 0
+    coin_zero = (_A_BIT_BY_CELL[cell] == b_prime) & accept  # coin a ⊕ b′ = 0
+    return np.count_nonzero(coin_zero), np.count_nonzero(accept)
 
 
 def _fair_bits(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, ...]:

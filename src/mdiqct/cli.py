@@ -17,6 +17,7 @@ the default seed).  Exit codes: 0 success, 1 runtime failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,6 +61,13 @@ OPTIONS = {
     "tolerance": (1e-10, {"type": float}),
     "format": ("json", {}),  # each command lists its own formats
 }
+
+# Options that only one run mode reads; giving one in another mode is a usage error.
+MODE_OPTIONS = {"k_pulses": "mdi-weak-coherent", "mu": "mdi-weak-coherent"}
+
+# Pulse slots per weak-coherent batch of a run stream: a batch holds
+# max(1, RUN_BATCH_SLOTS // K) runs, so its memory is bounded by K alone.
+RUN_BATCH_SLOTS = 2**16
 
 LABEL_ORDER = ["00", "01", "10", "11"]  # basis then bit
 
@@ -112,6 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first one rather than at import."""
+    return build_parser()
+
+
 def _load_config_file(path: str, known_keys: set[str]) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -148,17 +162,24 @@ def _file_value(action: argparse.Action, value):
 def _merge_options(args: argparse.Namespace) -> dict:
     """Resolve each of the command's own flags as flag > config file > default."""
     from_file = _load_config_file(args.config, set(args.option_actions)) if args.config else {}
-    opts = {}
+    opts, given = {}, []
     for key, action in args.option_actions.items():
         flag_value = getattr(args, key)
         if flag_value is not None:
             opts[key] = flag_value
+            given.append(key)
         elif key in from_file:
             opts[key] = _file_value(action, from_file[key])
+            given.append(key)
         else:
             opts[key] = _default_seed() if key == "seed" else OPTIONS[key][0]
     if opts.get("seed", 0) < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {opts['seed']}")
+    for key in given:
+        mode = MODE_OPTIONS.get(key)
+        if mode is not None and opts["mode"] != mode:
+            flag = "--" + key.replace("_", "-")
+            raise ParameterError(f"{key} ({flag}) only applies to mode {mode}, got mode {opts['mode']}")
     return opts
 
 
@@ -350,18 +371,21 @@ def _cmd_run(args: argparse.Namespace) -> str:
     if opts["adversary"] != "none":
         strategy = adversaries.by_name(opts["adversary"], y=config.y, target_coin=int(opts["target_coin"]))
     rng = np.random.default_rng(int(opts["seed"]))
-    lines = []
-    for _ in range(int(opts["trials"])):
-        if strategy is not None:
-            t = protocol.run_with_adversary(config, strategy, rng)
-        elif config.mode is protocol.Mode.MDI:
-            t = protocol.run_honest(config, rng)
-        elif config.mode is protocol.Mode.MDI_WEAK_COHERENT:
-            t = protocol.run_weak_coherent(config, rng)
-        else:
-            t = protocol.run_baseline(config, None, rng)
-        lines.append(protocol.transcript_json_line(t))
-    return "\n".join(lines) + "\n"
+    trials = int(opts["trials"])
+    if strategy is not None:
+        transcripts = (protocol.run_with_adversary(config, strategy, rng) for _ in range(trials))
+    elif config.mode is protocol.Mode.MDI_WEAK_COHERENT:
+        batch = max(1, RUN_BATCH_SLOTS // config.k_pulses)
+        transcripts = (
+            t
+            for start in range(0, trials, batch)
+            for t in protocol.sample_weak_coherent_runs(config, rng, min(batch, trials - start))
+        )
+    elif config.mode is protocol.Mode.MDI:
+        transcripts = (protocol.run_honest(config, rng) for _ in range(trials))
+    else:
+        transcripts = (protocol.run_baseline(config, None, rng) for _ in range(trials))
+    return "\n".join(map(protocol.transcript_json_line, transcripts)) + "\n"
 
 
 def _cmd_attack(args: argparse.Namespace) -> str:
@@ -404,8 +428,7 @@ def _cmd_attack(args: argparse.Namespace) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = args.handler(args)
     except (ParameterError, ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -14,7 +14,9 @@ One run of the main (measurement-device-independent) flow:
 Also provided: the fixed-pulse-count variant for weak-coherent sources, and
 a deliberately simplified non-MDI baseline flow (B measures in a random
 basis himself) used to demonstrate the detector-control attack that the
-MDI design removes.
+MDI design removes.  Weak-coherent runs are drawn as one (n, K) batch of
+pulse slots by :func:`sample_weak_coherent_runs`; K is capped at
+:data:`MAX_K_PULSES`.
 
 Each flow has one driver for steps 1–2; steps 3–5 are written once for all
 of them.  A cheating strategy plays one party: it declares a :class:`Role`,
@@ -25,7 +27,10 @@ exactly a Geometric(p_round) round count and one draw of the deciding round
 from the round model conditioned on success: :func:`sample_deciding_rounds`
 makes those two draws, for one run here and for whole batches in the
 estimator.  The honest baseline likewise draws its round count from
-Geometric(t_a·η) and its labels and measurement once.  Every flow draws from
+Geometric(t_a·η) and its labels and measurement once.  The estimator needs
+only whether an honest run finds its deciding round within ``max_rounds``;
+:func:`sample_deciding_cells` decides that from the variate numpy's
+geometric draw is built on, without the round count.  Every flow draws from
 the caller's generator alone.
 
 A rigged box (role ``BLACKBOX``) receives only B's quantum state and emits
@@ -36,6 +41,7 @@ fixed it raises instead of leaking.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -45,14 +51,15 @@ import numpy as np
 
 from . import devices
 from .devices import (
-    BsmSample,
     ChannelParams,
     DetectorParams,
     SourceKind,
     SourceModel,
-    sample_photon_number,
     single_photon_source,
 )
+# sample_photon_number is unused here but stays importable from this module:
+# perfbench/tracer.py wraps protocol.sample_photon_number by name.
+from .devices import sample_photon_number  # noqa: F401
 from .errors import ConfigurationError, ExhaustionError, ParameterError, PhaseOrderError
 from .qmath import (
     ALL_LABELS,
@@ -66,6 +73,9 @@ from .qmath import (
 )
 
 DEFAULT_MAX_ROUNDS = 1_000_000
+# The largest pulse count K of a weak-coherent run: a run draws its K slots
+# at once, at a peak of 50–80 bytes per slot (tracemalloc at K = 10 and 10⁶).
+MAX_K_PULSES = 10**6
 
 
 class Mode(Enum):
@@ -157,8 +167,28 @@ def transcript_to_record(t: Transcript) -> dict:
     }
 
 
+_JSON_STRING = json.encoder.encode_basestring_ascii  # the string encoder of json.dumps
+
+
 def transcript_json_line(t: Transcript) -> str:
-    return json.dumps(transcript_to_record(t), sort_keys=True, separators=(",", ":"))
+    """One record line, byte for byte ``json.dumps(transcript_to_record(t),
+    sort_keys=True, separators=(",", ":"))`` for the plain ints, strings and
+    enums a transcript holds, written directly with its keys in sorted order."""
+    bob, revealed, success = t.bob_label, t.revealed_label, t.adversary_success
+    return (
+        f'{{"adversary_success":{"null" if success is None else "true" if success else "false"},'
+        f'"b_prime":{"null" if t.bob_random_bit is None else t.bob_random_bit},'
+        f'"bob_basis":{"null" if bob is None else bob.basis},'
+        f'"bob_bit":{"null" if bob is None else bob.bit},'
+        f'"cause":{"null" if t.cause is None else _JSON_STRING(t.cause)},'
+        f'"coin":{"null" if t.coin is None else t.coin},'
+        f'"multiphoton_slots":[{",".join(map(str, t.multiphoton_slots))}],'
+        f'"outcome":{"null" if t.outcome is None else _JSON_STRING(t.outcome.value)},'
+        f'"pulse_index":{"null" if t.pulse_index is None else t.pulse_index},'
+        f'"revealed_basis":{"null" if revealed is None else revealed.basis},'
+        f'"revealed_bit":{"null" if revealed is None else revealed.bit},'
+        f'"rounds":{t.rounds},"verdict":{_JSON_STRING(t.verdict.value)}}}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +213,7 @@ class RunConfig:
         validate_y(self.y)
         validate_int("max_rounds", self.max_rounds, 1)
         if self.mode is Mode.MDI_WEAK_COHERENT:
-            validate_int("k_pulses", self.k_pulses, 1)
+            validate_int("k_pulses", self.k_pulses, 1, MAX_K_PULSES)
             if (
                 self.source_a.kind is not SourceKind.WEAK_COHERENT
                 or self.source_b.kind is not SourceKind.WEAK_COHERENT
@@ -338,13 +368,82 @@ def sample_deciding_rounds(
         never = np.full(n, np.iinfo(np.int64).max)
         return never, np.full(n, -1, np.int8), np.full(n, devices.FAILURE_BAND, np.int8)
     # int8 cells (< 96) keep the split and every caller's array arithmetic cheap.
-    u = rng.random(n)
-    if n < GUIDE_MIN_BATCH:
-        cell = cumulative.searchsorted(u, side="right").astype(np.int8)
-    else:
-        cell = _deciding_cells(u, cumulative, guide)
+    cell = _draw_cells(rng, n, cumulative, guide)
     pair = cell // 6
     return rng.geometric(p_round, size=n), pair, cell - 6 * pair
+
+
+def _draw_cells(
+    rng: np.random.Generator, n: int, cumulative: np.ndarray, guide: np.ndarray
+) -> np.ndarray:
+    """The int8 deciding cells 6·pair + band of ``n`` runs, from one uniform each."""
+    u = rng.random(n)
+    if n < GUIDE_MIN_BATCH:
+        return cumulative.searchsorted(u, side="right").astype(np.int8)
+    return _deciding_cells(u, cumulative, guide)
+
+
+# numpy's geometric draw searches its partial sums from p >= 1/3 (the double
+# nearest 1/3) and inverts an exponential below.
+_GEOMETRIC_SEARCH_MIN_P = 1.0 / 3.0
+
+
+@lru_cache(maxsize=64)
+def _geometric_search_sum(p: float, m: int) -> float:
+    """The partial sum of numpy's geometric search after ``m`` terms, summed as
+    it sums them.  The sum stops growing once a term is below half its last
+    ulp, and every later term is smaller, so the loop stops there."""
+    q = 1.0 - p
+    total = term = p
+    for _ in range(m - 1):
+        term *= q
+        grown = total + term
+        if grown == total:
+            break
+        total = grown
+    return total
+
+
+def geometric_at_most(rng: np.random.Generator, p: float, m: int, n: int) -> np.ndarray:
+    """``rng.geometric(p, n) <= m``, element for element, without the counts.
+
+    It makes the draws numpy's geometric makes, from the same stream: for
+    p ≥ 1/3 a uniform U, and the count is at most m iff U does not exceed
+    the search's partial sum after m terms; below, an exponential E, and the
+    count ceil(−E / log1p(−p)) is at most m iff −E / log1p(−p) ≤ m.  For m
+    below the largest int64 this also holds where numpy clamps a count from
+    2⁶³ on to that value.
+    """
+    if p >= _GEOMETRIC_SEARCH_MIN_P:
+        return rng.random(n) <= _geometric_search_sum(p, m)
+    limit = float(m)  # the largest double <= m, so that comparing in doubles is exact
+    if limit > m:
+        limit = math.nextafter(limit, 0.0)
+    return rng.standard_exponential(n) / -math.log1p(-p) <= limit
+
+
+def sample_deciding_cells(
+    y: float,
+    channel: ChannelParams,
+    detector: DetectorParams,
+    extended: bool,
+    max_rounds: int,
+    rng: np.random.Generator,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (cell, found) of ``n`` independent honest MDI runs.
+
+    ``cell`` is the int8 deciding cell 6·pair + band that
+    :func:`sample_deciding_rounds` splits, and ``found`` says whether the run
+    finds it within ``max_rounds`` rounds: ``rounds <= max_rounds`` of that
+    sampler, from the same draws (see :func:`geometric_at_most`).  If
+    p_round = 0 nothing is drawn, every cell is 0 and no run is found.
+    """
+    p_round, cumulative, guide = _success_table(y, channel, detector, extended)
+    if p_round <= 0.0:
+        return np.zeros(n, np.int8), np.zeros(n, bool)
+    cell = _draw_cells(rng, n, cumulative, guide)
+    return cell, geometric_at_most(rng, p_round, max_rounds, n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,60 +571,100 @@ def run_honest(config: RunConfig, rng: np.random.Generator) -> Transcript:
     return _run_mdi(config, None, rng)
 
 
+@lru_cache(maxsize=32)
+def _slot_band_edges(
+    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool
+) -> np.ndarray:
+    """Upper edges of the six success bands of one weak-coherent slot, shape (6, 64).
+
+    Column 32·(A's pulse non-empty) + 16·(B's pulse non-empty) + (label pair
+    4·a + b) holds the band edges of the :func:`~mdiqct.devices.round_rates`
+    table in band order, an empty pulse having transmittance 0 as in
+    :func:`~mdiqct.devices.sample_bsm_noisy`.  The band of a uniform u is the
+    number of edges at or below u; 6 is the failure band.
+    """
+    p_plus, p_minus, _ = _label_tables(y)
+    blocks = []
+    for t_a in (0.0, channel.t_a):
+        for t_b in (0.0, channel.t_b):
+            rates = devices.round_rates(t_a, t_b, detector, extended)
+            plus_cut = rates.dark_cuts[3] + rates.genuine * p_plus
+            dark = [np.full(16, cut) for cut in rates.dark_cuts]
+            blocks.append([*dark, plus_cut, plus_cut + rates.genuine * p_minus])
+    edges = np.concatenate(blocks, axis=1)
+    edges.setflags(write=False)
+    return edges
+
+
+def sample_weak_coherent_runs(config: RunConfig, rng: np.random.Generator, n: int) -> list[Transcript]:
+    """``n`` independent runs of the fixed-pulse-count weak-coherent variant.
+
+    Steps 1–2 of all n runs are drawn as one (n, K) batch of pulse slots,
+    one draw of each kind for the whole batch, in this order: the label
+    pair 4·a + b of every slot (A's and B's label indices, uniform), A's
+    photon numbers, B's photon numbers (Poissonian with each source's mean),
+    and one uniform per slot that picks the slot's band of the round table
+    (see :func:`_slot_band_edges`).  The first successful slot j decides the
+    run: its ``rounds`` and ``pulse_index`` are j, its ``cause`` the band's
+    event cause.  A run without one aborts after all K slots with cause
+    ``no-bsm-success``.  ``multiphoton_slots`` lists every slot in which
+    either pulse held two or more photons.  Steps 3–5 of the runs with a
+    success then follow in row order.
+    """
+    if config.mode is not Mode.MDI_WEAK_COHERENT:
+        raise ConfigurationError(f"weak-coherent runs require weak-coherent mode, got {config.mode.value}")
+    validate_int("n", n, 0)
+    k = int(config.k_pulses)
+    edges = _slot_band_edges(config.y, config.channel, config.detector, config.extended_dark_model)
+    pair = rng.integers(16, size=(n, k))
+    photons_a = rng.poisson(config.source_a.mu, size=(n, k))
+    photons_b = rng.poisson(config.source_b.mu, size=(n, k))
+    u = rng.random((n, k))
+
+    column = pair + 32 * (photons_a > 0) + 16 * (photons_b > 0)
+    success = u < edges[devices.FAILURE_BAND - 1][column]
+    rows = np.arange(n)
+    first = success.argmax(axis=1)  # the first successful slot, or 0 if none
+    found = success[rows, first]
+    first_column = column[rows, first]
+    band = (u[rows, first] >= edges[:, first_column]).sum(axis=0)
+    multi_rows, multi_slots = np.nonzero((photons_a >= 2) | (photons_b >= 2))
+    ends = np.searchsorted(multi_rows, rows, side="right").tolist()
+    multi_slots = (multi_slots + 1).tolist()
+
+    run = _Run(config, None, rng)  # honest play: its view is never read, so one serves every row
+    transcripts = []
+    start = 0
+    for ok, slot, cell_pair, cell_band, end in zip(
+        found.tolist(), (first + 1).tolist(), (first_column & 15).tolist(), band.tolist(), ends
+    ):
+        multiphoton, start = tuple(multi_slots[start:end]), end
+        if not ok:
+            transcripts.append(Transcript(
+                rounds=k, outcome=None, bob_label=None, bob_random_bit=None, revealed_label=None,
+                verdict=Verdict.ABORT, coin=None, cause="no-bsm-success", multiphoton_slots=multiphoton,
+            ))
+            continue
+        sample = devices.BAND_SAMPLES[cell_band]
+        transcripts.append(run.finish(
+            slot, sample.outcome, ALL_LABELS[cell_pair >> 2], ALL_LABELS[cell_pair & 3], sample.cause.value,
+            pulse_index=slot, multiphoton_slots=multiphoton,
+        ))
+    return transcripts
+
+
 def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript:
-    """The fixed-pulse-count variant for weak-coherent sources.
+    """One run of the fixed-pulse-count variant for weak-coherent sources.
 
     Both parties emit K pulse slots with fresh labels per slot; the first
     slot with a successful projection (index j) carries the labels used in
     the remaining steps.  If every slot fails the run aborts, so this
     variant is not loss tolerant.  Multi-photon emissions are treated as
     "photon present" (no multi-photon interference model) and their slot
-    indices are flagged on the transcript.
+    indices are flagged on the transcript.  This is the one-run batch of
+    :func:`sample_weak_coherent_runs`, which documents the draws.
     """
-    if config.mode is not Mode.MDI_WEAK_COHERENT:
-        raise ConfigurationError(f"run_weak_coherent requires weak-coherent mode, got {config.mode.value}")
-    run = _Run(config, None, rng)
-    k = int(config.k_pulses)
-
-    multiphoton: list[int] = []
-    first: Optional[tuple[int, BsmSample, StateLabel, StateLabel]] = None
-    for slot in range(1, k + 1):
-        alice = ALL_LABELS[rng.integers(4)]
-        bob = ALL_LABELS[rng.integers(4)]
-        n_a = sample_photon_number(config.source_a, rng)
-        n_b = sample_photon_number(config.source_b, rng)
-        if n_a >= 2 or n_b >= 2:
-            multiphoton.append(slot)
-        candidate = devices.sample_bsm_noisy(
-            state_for_label(alice, config.y),
-            state_for_label(bob, config.y),
-            config.channel,
-            config.detector,
-            rng,
-            extended=config.extended_dark_model,
-            present_a=n_a >= 1,
-            present_b=n_b >= 1,
-        )
-        if first is None and candidate.outcome is not BsmOutcome.FAILURE:
-            first = (slot, candidate, alice, bob)
-
-    if first is None:
-        return Transcript(
-            rounds=k,
-            outcome=None,
-            bob_label=None,
-            bob_random_bit=None,
-            revealed_label=None,
-            verdict=Verdict.ABORT,
-            coin=None,
-            cause="no-bsm-success",
-            multiphoton_slots=tuple(multiphoton),
-        )
-    slot, sample, alice, bob = first
-    return run.finish(
-        slot, sample.outcome, alice, bob, sample.cause.value,
-        pulse_index=slot, multiphoton_slots=tuple(multiphoton),
-    )
+    return sample_weak_coherent_runs(config, rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------
