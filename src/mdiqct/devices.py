@@ -243,8 +243,8 @@ def sample_bsm_noisy(
     states enter only through their ideal projection probabilities, which
     are computed when the draw lands in the both-photons band.
     ``present_a``/``present_b`` mark whether the corresponding pulse carried
-    any photon at all (used by the weak-coherent flow); an absent pulse has
-    transmittance 0.
+    any photon at all; an absent pulse has transmittance 0, as in the band
+    table of the weak-coherent flow.
     """
     rates = round_rates(
         channel.t_a if present_a else 0.0, channel.t_b if present_b else 0.0, detector, extended

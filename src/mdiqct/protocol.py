@@ -391,8 +391,8 @@ _GEOMETRIC_SEARCH_MIN_P = 1.0 / 3.0
 @lru_cache(maxsize=64)
 def _geometric_search_sum(p: float, m: int) -> float:
     """The partial sum of numpy's geometric search after ``m`` terms, summed as
-    it sums them.  The sum stops growing once a term is below half its last
-    ulp, and every later term is smaller, so the loop stops there."""
+    it sums them.  Once adding a term leaves the sum unchanged, every later,
+    smaller term does too, so the loop stops there."""
     q = 1.0 - p
     total = term = p
     for _ in range(m - 1):
