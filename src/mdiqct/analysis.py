@@ -26,7 +26,6 @@ import numpy as np
 
 from .adversaries import MED_MODELS
 from .devices import (
-    BAND_OUTCOME,
     CAUSE_BOTH,
     CAUSE_DARK_DARK,
     ChannelParams,
@@ -35,7 +34,15 @@ from .devices import (
     sample_bsm_noisy_batch,
 )
 from .errors import ParameterError, UnknownScenarioError
-from .protocol import DEFAULT_MAX_ROUNDS, _label_tables, sample_deciding_cells
+from .protocol import (
+    BLOCK_WORDS,
+    DEFAULT_MAX_ROUNDS,
+    RUN_A_BIT,
+    RUN_ABORT,
+    _blocks,
+    _label_tables,
+    sample_run_codes,
+)
 from .qmath import ALL_LABELS, SENT_STATES, BsmOutcome, cheating_table, validate_int, validate_y
 # verification_table is unused here but stays importable from this module:
 # perfbench/tracer.py wraps analysis.verification_table by name.
@@ -237,58 +244,80 @@ class Estimate:
 Kernel = Callable[[np.random.Generator, int, dict], tuple[int, int]]
 
 
-def _sampled_rounds(rng: np.random.Generator, n: int, p: dict) -> tuple[np.ndarray, ...]:
-    """One physical round per trial on uniform label pairs: (pair, outcome, cause)."""
+def _raw_bits(rng: np.random.Generator, n: int, bits: int = 1) -> np.ndarray:
+    """``rng.integers(1 << bits, size=n)`` as uint32, bit for bit, for a PCG64
+    generator with no pending half word: numpy's bounded draw of a range of
+    2**bits takes the top ``bits`` bits of each 32-bit half of a raw word, low
+    half first, and never rejects one."""
+    return rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n] >> (32 - bits)
+
+
+def _sampled_rounds(rng: np.random.Generator, n: int, p: dict):
+    """One physical round per trial on uniform label pairs, yielded in blocks
+    of (pair, outcome, cause).  Every pair is drawn before the first round, as
+    ``rng.integers(16, size=n)`` draws them, so the draws are those of one batch.
+
+    sample_bsm_noisy_batch holds about seven float64 arrays of a block, so a
+    chunk peaks near 1.1 MiB.  Half-size blocks kept it at 0.6 MiB without
+    page faults on one thread, but with two workers their extra numpy calls
+    made the honest-channel benchmark 30% slower than whole-chunk batches.
+    """
     p_plus, p_minus, _ = _label_tables(p["y"])
-    pair = rng.integers(16, size=n)
-    outcome, cause = sample_bsm_noisy_batch(
-        p_plus[pair], p_minus[pair], p["channel"], p["detector"], rng, extended=p["extended"]
-    )
-    return pair, outcome, cause
+    pair = np.empty(n, np.uint8)
+    for block in _blocks(n):  # an even block size leaves no half word pending
+        pair[block] = _raw_bits(rng, block.stop - block.start, 4)
+    for block in _blocks(n):
+        # Gathers with intp indices cost about a third of uint8 ones, which pays for the cast.
+        pairs = pair[block].astype(np.intp)
+        outcome, cause = sample_bsm_noisy_batch(
+            p_plus[pairs], p_minus[pairs], p["channel"], p["detector"], rng, extended=p["extended"]
+        )
+        yield pairs, outcome, cause
 
 
 def _kernel_honest_round_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """One physical round per trial: labels, device events, verification."""
-    pair, outcome, _cause = _sampled_rounds(rng, n, p)
     _, _, zero = _label_tables(p["y"])
-    return int(zero[outcome, pair].sum()), n
+    zero = zero.ravel()  # flat index 16·outcome + pair
+    aborts = sum(np.count_nonzero(zero[16 * outcome + pair]) for pair, outcome, _ in _sampled_rounds(rng, n, p))
+    return aborts, n
 
 
 def _kernel_honest_round_cause(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Frequency of one event cause among successful rounds."""
-    _pair, outcome, cause = _sampled_rounds(rng, n, p)
-    success = outcome != 0
-    return int((cause[success] == p["cause_code"]).sum()), int(success.sum())
-
-
-# A's bit by deciding cell 6·pair + band: pair 4·a + b holds A's label a = 2·basis + bit.
-_A_BIT_BY_CELL = (np.arange(96) // 24) & 1
+    hits = successes = 0
+    for _pair, outcome, cause in _sampled_rounds(rng, n, p):
+        success = outcome != 0
+        hits += np.count_nonzero((cause == p["cause_code"]) & success)
+        successes += np.count_nonzero(success)
+    return hits, successes
 
 
 def _honest_runs(rng: np.random.Generator, n: int, p: dict) -> tuple[np.ndarray, ...]:
-    """(deciding cell, abort, accept) of full honest runs; an exhausted run does neither."""
-    cell, found = sample_deciding_cells(
+    """(run code, abort, accept) of full honest runs; an exhausted run does neither."""
+    code, found = sample_run_codes(
         p["y"], p["channel"], p["detector"], p["extended"], p["max_rounds"], rng, n
     )
-    # Gathers with intp indices cost about a third of int8 ones, which pays for the cast.
-    cell = cell.astype(np.intp)
-    _, _, zero = _label_tables(p["y"])
-    abort = zero[BAND_OUTCOME[:6]].T.ravel()[cell] & found  # flat index 6·pair + band
-    return cell, abort, found & ~abort
+    abort = (code & RUN_ABORT) != 0
+    return code, abort & found, found & ~abort
 
 
 def _kernel_honest_run_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Full honest runs (restart until success); counts aborting runs."""
     _, abort, _ = _honest_runs(rng, n, p)
-    return int(abort.sum()), n
+    return np.count_nonzero(abort), n
 
 
 def _kernel_honest_coin(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Coin value over accepting honest runs; counts coin == 0."""
-    cell, _, accept = _honest_runs(rng, n, p)
-    b_prime = rng.integers(2, size=n)
-    coin_zero = (_A_BIT_BY_CELL[cell] == b_prime) & accept  # coin a ⊕ b′ = 0
-    return np.count_nonzero(coin_zero), np.count_nonzero(accept)
+    code, _, accept = _honest_runs(rng, n, p)
+    coin_zero = 0
+    # b′ in blocks of whole words, so they continue one stream.  The run
+    # draws take whole words, so no half word is pending at the first.
+    for block in _blocks(n, 2 * BLOCK_WORDS):
+        b_prime = _raw_bits(rng, block.stop - block.start)
+        coin_zero += np.count_nonzero(((code[block] & RUN_A_BIT) == b_prime) & accept[block])  # a ⊕ b′ = 0
+    return coin_zero, np.count_nonzero(accept)
 
 
 def _fair_bits(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, ...]:

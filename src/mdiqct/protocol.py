@@ -30,7 +30,10 @@ estimator.  The honest baseline likewise draws its round count from
 Geometric(t_a·η) and its labels and measurement once.  The estimator needs
 only whether an honest run finds its deciding round within ``max_rounds``;
 :func:`sample_deciding_cells` decides that from the variate numpy's
-geometric draw is built on, without the round count.  Every flow draws from
+geometric draw is built on, without the round count.  It reads both of its
+draws as the raw PCG64 words numpy's draws are built from, in blocks of
+``BLOCK_WORDS``, so it makes the very draws of :func:`sample_deciding_rounds`
+and refuses a generator on any other bit generator.  Every flow draws from
 the caller's generator alone.
 
 A rigged box (role ``BLACKBOX``) receives only B's quantum state and emits
@@ -383,6 +386,90 @@ def _draw_cells(
     return _deciding_cells(u, cumulative, guide)
 
 
+# The estimator's honest-run draws read the raw 64-bit words of PCG64, the
+# words numpy builds its own draws from, in blocks of at most BLOCK_WORDS
+# (128 KiB): ``rng.random`` of a word w is (w >> 11)·2⁻⁵³, so its guide
+# bucket is w >> 52.
+BLOCK_WORDS = 1 << 14
+_UNIFORM_SHIFT = 11  # a uniform keeps the top 53 bits of its word
+_BUCKET_SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)
+_WORD_MAX = (1 << 64) - 1
+# A bucket code with this bit set marks a bucket that a cumulative weight
+# cuts: its words are searched.  Every code below it is some cell's code.
+_UNSURE = 0x80
+_CELL_CODES = np.arange(96, dtype=np.uint8)  # a cell's code is the cell itself
+# The bits of a run code (see sample_run_codes).
+RUN_A_BIT = 1
+RUN_ABORT = 2
+
+
+def _blocks(n: int, size: int = BLOCK_WORDS) -> list[slice]:
+    """Consecutive slices of at most ``size`` items that cover range(n)."""
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def _require_pcg64(rng: np.random.Generator) -> None:
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ParameterError(
+            f"honest-run sampling reads raw PCG64 words, got a {type(rng.bit_generator).__name__} generator"
+        )
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """``rng.random`` of these raw PCG64 words, exactly: (w >> 11)·2⁻⁵³."""
+    return (words >> _UNIFORM_SHIFT) * 2.0**-53
+
+
+# The run code of each deciding cell 6·pair + band, then _UNSURE at index 96,
+# which a guide entry −1 (a cut bucket) gathers.  A's bit and the zero cells
+# of is_zero_cell are the same for every y.
+_RUN_CODES = np.array([
+    *(
+        ALL_LABELS[pair >> 2].bit * RUN_A_BIT
+        + is_zero_cell(devices.BAND_SAMPLES[band].outcome, ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3]) * RUN_ABORT
+        for pair in range(16)
+        for band in range(6)
+    ),
+    _UNSURE,
+], dtype=np.uint8)
+_RUN_CODES.setflags(write=False)
+
+
+@lru_cache(maxsize=32)
+def _run_codes_by_bucket(
+    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool
+) -> np.ndarray:
+    """The run code of each bucket of the guide table of :func:`_success_table`,
+    or ``_UNSURE`` where a cumulative weight cuts the bucket."""
+    by_bucket = _RUN_CODES[_success_table(y, channel, detector, extended)[2]]
+    by_bucket.setflags(write=False)
+    return by_bucket
+
+
+def _draw_codes(
+    rng: np.random.Generator, n: int, cumulative: np.ndarray, by_bucket: np.ndarray, by_cell: np.ndarray
+) -> np.ndarray:
+    """``by_cell[cell]`` of the deciding cells of ``n`` runs as uint8, from one raw word each.
+
+    The word's uniform picks the cell as :func:`_draw_cells` does, bit for
+    bit: a binary search below ``GUIDE_MIN_BATCH`` runs, else the code of the
+    word's guide bucket, ``by_bucket[w >> 52]``, and a search of the words
+    whose bucket is ``_UNSURE``.
+    """
+    codes = np.empty(n, np.uint8)
+    bitgen = rng.bit_generator
+    for block in _blocks(n):
+        out = codes[block]
+        words = bitgen.random_raw(out.size)
+        if n < GUIDE_MIN_BATCH:
+            out[:] = by_cell[cumulative.searchsorted(_uniforms(words), side="right")]
+            continue
+        out[:] = by_bucket[(words >> _BUCKET_SHIFT).view(np.intp)]
+        unsure = np.flatnonzero(out >= _UNSURE)
+        out[unsure] = by_cell[cumulative.searchsorted(_uniforms(words[unsure]), side="right")]
+    return codes
+
+
 # numpy's geometric draw searches its partial sums from p >= 1/3 (the double
 # nearest 1/3) and inverts an exponential below.
 _GEOMETRIC_SEARCH_MIN_P = 1.0 / 3.0
@@ -404,22 +491,57 @@ def _geometric_search_sum(p: float, m: int) -> float:
     return total
 
 
+def _largest_found_word(p: float, m: int) -> int:
+    """The largest raw word whose uniform U finds a run within ``m`` rounds, for p ≥ 1/3.
+
+    U = (w >> 11)·2⁻⁵³ is at most the partial sum S iff w >> 11 ≤ floor(S·2⁵³),
+    since w >> 11 is an integer and S·2⁵³ is exact.
+    """
+    top = min(math.floor(_geometric_search_sum(p, m) * 2.0**53), (1 << 53) - 1)
+    return top << _UNIFORM_SHIFT | (1 << _UNIFORM_SHIFT) - 1
+
+
+def _exponential_found(e: np.ndarray, p: float, m: int) -> np.ndarray:
+    """Whether each exponential E gives a count ceil(−E / log1p(−p)) of at
+    most ``m``, that is −E / log1p(−p) ≤ m; divides ``e`` in place."""
+    limit = float(m)  # the largest double <= m, so that comparing in doubles is exact
+    if limit > m:
+        limit = math.nextafter(limit, 0.0)
+    e /= -math.log1p(-p)
+    return e <= limit
+
+
 def geometric_at_most(rng: np.random.Generator, p: float, m: int, n: int) -> np.ndarray:
     """``rng.geometric(p, n) <= m``, element for element, without the counts.
 
     It makes the draws numpy's geometric makes, from the same stream: for
     p ≥ 1/3 a uniform U, and the count is at most m iff U does not exceed
-    the search's partial sum after m terms; below, an exponential E, and the
-    count ceil(−E / log1p(−p)) is at most m iff −E / log1p(−p) ≤ m.  For m
-    below the largest int64 this also holds where numpy clamps a count from
-    2⁶³ on to that value.
+    the search's partial sum after m terms, which is the raw-word comparison
+    of :func:`_largest_found_word`; below, an exponential E, and the count
+    ceil(−E / log1p(−p)) is at most m iff −E / log1p(−p) ≤ m.  For m below
+    the largest int64 this also holds where numpy clamps a count from 2⁶³ on
+    to that value.  Words and exponentials are drawn in blocks of
+    ``BLOCK_WORDS``.  When every word is found the words are skipped with
+    ``advance``, which leaves the stream where drawing them would, unless
+    a half word of an earlier 32-bit draw is pending: advance drops it.
     """
+    _require_pcg64(rng)
+    found = np.empty(n, bool)
+    bitgen = rng.bit_generator
     if p >= _GEOMETRIC_SEARCH_MIN_P:
-        return rng.random(n) <= _geometric_search_sum(p, m)
-    limit = float(m)  # the largest double <= m, so that comparing in doubles is exact
-    if limit > m:
-        limit = math.nextafter(limit, 0.0)
-    return rng.standard_exponential(n) / -math.log1p(-p) <= limit
+        largest = _largest_found_word(p, m)
+        if largest == _WORD_MAX and not bitgen.state["has_uint32"]:
+            bitgen.advance(n)
+            found.fill(True)
+            return found
+        for block in _blocks(n):
+            out = found[block]
+            np.less_equal(bitgen.random_raw(out.size), np.uint64(largest), out=out)
+        return found
+    for block in _blocks(n):
+        out = found[block]
+        out[:] = _exponential_found(rng.standard_exponential(out.size), p, m)
+    return found
 
 
 def sample_deciding_cells(
@@ -436,14 +558,43 @@ def sample_deciding_cells(
     ``cell`` is the int8 deciding cell 6·pair + band that
     :func:`sample_deciding_rounds` splits, and ``found`` says whether the run
     finds it within ``max_rounds`` rounds: ``rounds <= max_rounds`` of that
-    sampler, from the same draws (see :func:`geometric_at_most`).  If
-    p_round = 0 nothing is drawn, every cell is 0 and no run is found.
+    sampler, from the same draws.  Both are read from raw PCG64 words in
+    blocks (see :func:`_draw_codes` and :func:`geometric_at_most`), so a
+    generator on any other bit generator is refused with
+    :class:`ParameterError`.  If p_round = 0 nothing is drawn, every cell is
+    0 and no run is found.
     """
+    _require_pcg64(rng)
     p_round, cumulative, guide = _success_table(y, channel, detector, extended)
     if p_round <= 0.0:
         return np.zeros(n, np.int8), np.zeros(n, bool)
-    cell = _draw_cells(rng, n, cumulative, guide)
+    # A cut bucket's guide entry −1 reads as 0xFF as uint8, which has the _UNSURE bit.
+    cell = _draw_codes(rng, n, cumulative, guide.view(np.uint8), _CELL_CODES).view(np.int8)
     return cell, geometric_at_most(rng, p_round, max_rounds, n)
+
+
+def sample_run_codes(
+    y: float,
+    channel: ChannelParams,
+    detector: DetectorParams,
+    extended: bool,
+    max_rounds: int,
+    rng: np.random.Generator,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_deciding_cells` with each run's uint8 code in place of its cell.
+
+    A run code holds A's bit (``RUN_A_BIT``) and whether B's check aborts
+    the run (``RUN_ABORT``), which is all the estimator reads of a cell; one
+    cached code per guide bucket saves the cell and both lookups.
+    """
+    _require_pcg64(rng)
+    p_round, cumulative, _ = _success_table(y, channel, detector, extended)
+    if p_round <= 0.0:
+        return np.zeros(n, np.uint8), np.zeros(n, bool)
+    by_bucket = _run_codes_by_bucket(y, channel, detector, extended)
+    code = _draw_codes(rng, n, cumulative, by_bucket, _RUN_CODES)
+    return code, geometric_at_most(rng, p_round, max_rounds, n)
 
 
 # ---------------------------------------------------------------------------

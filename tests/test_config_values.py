@@ -6,11 +6,14 @@ message on stderr and writes no output file.
 """
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mdiqct
 from mdiqct import cli
 from mdiqct.adversaries import alice_blinding_attack, bob_med_attack
 from mdiqct.devices import SourceKind, SourceModel, poisson_tail_at_least_two, weak_coherent_source
@@ -138,4 +141,6 @@ def test_integer_parameters_refuse_non_integers(build):
 
 def test_package_import_leaves_scipy_stats_unloaded():
     code = "import sys, mdiqct.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
+    # The child imports mdiqct from where this process did, as pytest's pythonpath is not inherited.
+    env = dict(os.environ, PYTHONPATH=str(Path(mdiqct.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env, check=False).returncode == 0

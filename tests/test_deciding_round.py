@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_within_sigmas
-from mdiqct.analysis import bsm_success_probability, estimate
+from mdiqct.analysis import CHUNK_SIZE, bsm_success_probability, estimate
 from mdiqct.devices import BAND_SAMPLES, ChannelParams, DetectorParams
 from mdiqct.errors import ExhaustionError
 from mdiqct.protocol import (
@@ -185,4 +185,15 @@ class TestPinnedHonestEstimates:
     )
     def test_estimate_is_unchanged(self, scenario, seed, params, mean, trials):
         est = estimate(scenario, trials=300_017, seed=seed, **params)
+        assert (est.mean, est.trials) == (mean, trials)
+
+    @pytest.mark.parametrize(
+        "scenario, seed, mean",
+        [("honest-coin", 0, 0.50022631913541), ("honest-run-abort", 1, 0.0)],
+        ids=["coin", "run-abort"],
+    )
+    def test_ideal_devices_are_unchanged(self, scenario, seed, mean):
+        """Default (ideal) devices, the configuration of ``attack --adversary none``."""
+        trials = 3 * CHUNK_SIZE + 17
+        est = estimate(scenario, trials=trials, seed=seed)
         assert (est.mean, est.trials) == (mean, trials)
