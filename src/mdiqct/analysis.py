@@ -28,6 +28,7 @@ from .adversaries import MED_MODELS
 from .devices import (
     CAUSE_BOTH,
     CAUSE_DARK_DARK,
+    CAUSE_PHOTON_DARK,
     ChannelParams,
     DetectorParams,
     round_rates,
@@ -41,6 +42,7 @@ from .protocol import (
     RUN_ABORT,
     _blocks,
     _label_tables,
+    found_probability,
     sample_run_codes,
 )
 from .qmath import ALL_LABELS, SENT_STATES, BsmOutcome, cheating_table, validate_int, validate_y
@@ -171,6 +173,32 @@ def cheat_alice_individual() -> float:
     return 0.75
 
 
+def _honest_round_cause_closed_form(p: dict) -> float:
+    """The cause's share of the per-round success probability; each cause has a Ψ⁺ and a Ψ⁻ band."""
+    channel, detector, extended = p["channel"], p["detector"], p["extended"]
+    rates = round_rates(channel.t_a, channel.t_b, detector, extended)
+    mass = {
+        CAUSE_BOTH: 0.5 * rates.genuine,
+        CAUSE_PHOTON_DARK: 2.0 * rates.photon_dark,
+        CAUSE_DARK_DARK: 2.0 * rates.dark_dark,
+    }[p["cause_code"]]
+    success = bsm_success_probability(channel, detector, extended=extended)
+    return mass / success if success > 0.0 else math.nan
+
+
+def _honest_run_abort_closed_form(p: dict) -> float:
+    """Abort given success times P(found) = 1 − (1 − p_round)^max_rounds."""
+    channel, detector, extended = p["channel"], p["detector"], p["extended"]
+    found = found_probability(bsm_success_probability(channel, detector, extended=extended), p["max_rounds"])
+    return honest_abort_given_success(channel, detector, extended=extended) * found
+
+
+def _cheating_cell_closed_form(p: dict) -> float:
+    """The cheating-table entry for the sent state, B's label and the outcome."""
+    plus = cheating_table(p["y"]).probability(p["sent"], BsmOutcome.PSI_PLUS, ALL_LABELS[p["index_b"]])
+    return plus if p["outcome"] == "psi-plus" else 1.0 - plus
+
+
 def _alice_individual_closed_form(p: dict) -> float:
     """3/4, or 3/4 + y(1−y)/2 for a projective box; a right guess (half of them) always passes."""
     y = p["y"]
@@ -293,31 +321,27 @@ def _kernel_honest_round_cause(rng: np.random.Generator, n: int, p: dict) -> tup
     return hits, successes
 
 
-def _honest_runs(rng: np.random.Generator, n: int, p: dict) -> tuple[np.ndarray, ...]:
-    """(run code, abort, accept) of full honest runs; an exhausted run does neither."""
-    code, found = sample_run_codes(
-        p["y"], p["channel"], p["detector"], p["extended"], p["max_rounds"], rng, n
-    )
-    abort = (code & RUN_ABORT) != 0
-    return code, abort & found, found & ~abort
+def _run_codes(rng: np.random.Generator, n: int, p: dict) -> np.ndarray:
+    """The run codes of ``n`` full honest runs (see :func:`protocol.sample_run_codes`)."""
+    return sample_run_codes(p["y"], p["channel"], p["detector"], p["extended"], p["max_rounds"], rng, n)
 
 
 def _kernel_honest_run_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Full honest runs (restart until success); counts aborting runs."""
-    _, abort, _ = _honest_runs(rng, n, p)
-    return np.count_nonzero(abort), n
+    return np.count_nonzero(_run_codes(rng, n, p) & RUN_ABORT), n
 
 
 def _kernel_honest_coin(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Coin value over accepting honest runs; counts coin == 0."""
-    code, _, accept = _honest_runs(rng, n, p)
+    code = _run_codes(rng, n, p)
+    # An accepted run's code is its bare A bit, so code == b′ iff the run is
+    # accepted with a ⊕ b′ = 0.  b′ in blocks of whole words, so they
+    # continue one stream; the run draws take whole words, so no half word
+    # is pending at the first.
     coin_zero = 0
-    # b′ in blocks of whole words, so they continue one stream.  The run
-    # draws take whole words, so no half word is pending at the first.
     for block in _blocks(n, 2 * BLOCK_WORDS):
-        b_prime = _raw_bits(rng, block.stop - block.start)
-        coin_zero += np.count_nonzero(((code[block] & RUN_A_BIT) == b_prime) & accept[block])  # a ⊕ b′ = 0
-    return coin_zero, np.count_nonzero(accept)
+        coin_zero += np.count_nonzero(code[block] == _raw_bits(rng, block.stop - block.start))
+    return coin_zero, np.count_nonzero(code <= RUN_A_BIT)
 
 
 def _fair_bits(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, ...]:
@@ -486,9 +510,14 @@ _HONEST = ("y", "channel", "detector", "extended", "max_rounds")
 _ATTACK = ("y", "target_coin")
 
 SCENARIOS: dict[str, Scenario] = {
-    "honest-round-abort": Scenario(_kernel_honest_round_abort, _HONEST),
-    "honest-round-cause": Scenario(_kernel_honest_round_cause, (*_HONEST, "cause_code")),
-    "honest-run-abort": Scenario(_kernel_honest_run_abort, _HONEST),
+    "honest-round-abort": Scenario(
+        _kernel_honest_round_abort, _HONEST,
+        lambda p: honest_abort_closed_form(p["channel"], p["detector"], extended=p["extended"]),
+    ),
+    "honest-round-cause": Scenario(
+        _kernel_honest_round_cause, (*_HONEST, "cause_code"), _honest_round_cause_closed_form
+    ),
+    "honest-run-abort": Scenario(_kernel_honest_run_abort, _HONEST, _honest_run_abort_closed_form),
     # b′ is uniform and independent of the run, so an accepted coin is fair.
     "honest-coin": Scenario(_kernel_honest_coin, _HONEST, lambda p: 0.5),
     "bob-med": Scenario(_kernel_bob_med, _ATTACK, lambda p: cheat_bob(p["y"])),
@@ -502,8 +531,12 @@ SCENARIOS: dict[str, Scenario] = {
     "alice-blinding": Scenario(
         _kernel_alice_blinding, (*_ATTACK, "count"), lambda p: float(p["count"] == "success")
     ),
+    # No closed form declared: at equal labels the denominator p⁺ + p⁻ = 2y(1−y) nears 0 as y → 1,
+    # where the gate's trials see no success (20,000 trials at y = 0.99999 saw none).
     "table-cell": Scenario(_kernel_table_cell, ("y", "index_a", "index_b", "outcome")),
-    "cheating-cell": Scenario(_kernel_cheating_cell, ("y", "index_b", "sent", "outcome")),
+    "cheating-cell": Scenario(
+        _kernel_cheating_cell, ("y", "index_b", "sent", "outcome"), _cheating_cell_closed_form
+    ),
 }
 
 

@@ -156,17 +156,6 @@ class BsmSample:
 OUTCOME_FAILURE, OUTCOME_PSI_PLUS, OUTCOME_PSI_MINUS = 0, 1, 2
 CAUSE_FAILURE, CAUSE_BOTH, CAUSE_PHOTON_DARK, CAUSE_DARK_DARK = 0, 1, 2, 3
 
-_OUTCOME_BY_CODE = {
-    OUTCOME_FAILURE: BsmOutcome.FAILURE,
-    OUTCOME_PSI_PLUS: BsmOutcome.PSI_PLUS,
-    OUTCOME_PSI_MINUS: BsmOutcome.PSI_MINUS,
-}
-
-
-def outcome_from_code(code: int) -> BsmOutcome:
-    return _OUTCOME_BY_CODE[int(code)]
-
-
 class RoundRates(NamedTuple):
     """Probability of each event cause per Bell outcome in one round.
 
@@ -291,6 +280,7 @@ def sample_bsm_noisy_batch(
     band = np.zeros(u.shape, dtype=np.int8)
     for cut in (*rates.dark_cuts, plus_cut, plus_cut + rates.genuine * p_minus):
         band += u >= cut
+    band = band.astype(np.intp)  # gathers with intp indices cost about a third of int8 ones
     return BAND_OUTCOME[band], BAND_CAUSE[band]
 
 

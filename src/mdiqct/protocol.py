@@ -22,19 +22,17 @@ Each flow has one driver for steps 1–2; steps 3–5 are written once for all
 of them.  A cheating strategy plays one party: it declares a :class:`Role`,
 and the driver calls that role's hooks, listed in :mod:`mdiqct.adversaries`.
 
-Honest runs do not walk their failed rounds.  Rounds are i.i.d., so a run is
-exactly a Geometric(p_round) round count and one draw of the deciding round
-from the round model conditioned on success: :func:`sample_deciding_rounds`
-makes those two draws, for one run here and for whole batches in the
-estimator.  The honest baseline likewise draws its round count from
-Geometric(t_a·η) and its labels and measurement once.  The estimator needs
-only whether an honest run finds its deciding round within ``max_rounds``;
-:func:`sample_deciding_cells` decides that from the variate numpy's
-geometric draw is built on, without the round count.  It reads both of its
-draws as the raw PCG64 words numpy's draws are built from, in blocks of
-``BLOCK_WORDS``, so it makes the very draws of :func:`sample_deciding_rounds`
-and refuses a generator on any other bit generator.  Every flow draws from
-the caller's generator alone.
+Honest runs do not walk their failed rounds.  Rounds are i.i.d., so the
+round count is Geometric(p_round) and does not depend on the deciding round,
+which is one round drawn from the round model conditioned on success.  An
+honest MDI run therefore draws its deciding (label pair, band) cell and then
+its round count; the honest baseline likewise draws its round count from
+Geometric(t_a·η) and its labels and measurement once.  The estimator reads
+the round count only as ``rounds <= max_rounds``, so
+:func:`sample_run_codes` draws a whole run as one 64-bit word: a categorical
+over the 96 deciding cells, each weighted by P(found), and one cell for the
+run that finds no success within ``max_rounds``.  Every flow draws from the
+caller's generator alone.
 
 A rigged box (role ``BLACKBOX``) receives only B's quantum state and emits
 only an outcome: B's classical label never flows into it.  Strategies
@@ -301,8 +299,8 @@ def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p_plus, p_minus, zero
 
 
-# Buckets of the deciding-cell guide table.  A power of two, so u·M and
-# c·M are exact and each bucket [b/M, (b+1)/M) has exact bounds.
+# Buckets of the guide table.  A power of two, so u·M and c·M are exact and
+# each bucket [b/M, (b+1)/M) has exact bounds.
 GUIDE_BUCKETS = 1 << 12
 # Below this many runs a binary search costs less than the guide lookup's
 # fixed overhead of about 5 µs: one uniform searches in ~1 µs, and the two
@@ -310,119 +308,25 @@ GUIDE_BUCKETS = 1 << 12
 # One-run calls such as run_honest take the search.
 GUIDE_MIN_BATCH = 512
 
-
-@lru_cache(maxsize=32)
-def _success_table(
-    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Per-round success probability, the normalized cumulative weights of
-    the 16 × 6 successful (label pair, band) cells, pair-major, and their
-    int8 guide table over ``GUIDE_BUCKETS`` buckets of [0, 1): entry b is the
-    cell of every u in [b/M, (b+1)/M) when no cumulative weight falls
-    strictly inside that bucket, and −1 when one does."""
-    p_plus, p_minus, _ = _label_tables(y)
-    genuine, pd, dd, _ = devices.round_rates(channel.t_a, channel.t_b, detector, extended)
-    success = np.column_stack([np.tile((pd, pd, dd, dd), (16, 1)), genuine * p_plus, genuine * p_minus])
-    cumulative = np.cumsum(success)
-    p_round = float(cumulative[-1]) / 16.0  # uniform pairs: 1/16 each
-    if p_round > 0.0:
-        cumulative /= cumulative[-1]
-    # The cell of u is #{c <= u}.  At u = b/M that is #{c·M <= b} = #{ceil(c·M) <= b},
-    # and it holds over the whole bucket unless some c·M lies in (b, b+1).
-    scaled = cumulative * GUIDE_BUCKETS
-    counts = np.bincount(np.ceil(scaled).astype(np.intp), minlength=GUIDE_BUCKETS + 1)
-    guide = counts[:GUIDE_BUCKETS].cumsum().astype(np.int8)
-    guide[scaled[scaled % 1.0 != 0.0].astype(np.intp)] = -1
-    for arr in (cumulative, guide):
-        arr.setflags(write=False)
-    return p_round, cumulative, guide
-
-
-def _deciding_cells(u: np.ndarray, cumulative: np.ndarray, guide: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cumulative, u, side="right")`` as int8, for u in [0, 1).
-
-    A bucket lookup in the guide table settles most uniforms; only those in
-    a bucket that a cumulative weight cuts are searched.  The cell is
-    monotone in u and u·M is exact, so the result is the same bit for bit.
-    """
-    cell = guide[(u * GUIDE_BUCKETS).astype(np.intp)]
-    unsure = np.flatnonzero(cell < 0)
-    cell[unsure] = cumulative.searchsorted(u[unsure], side="right")
-    return cell
-
-
-def sample_deciding_rounds(
-    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample (rounds, label pair, band) of ``n`` independent honest MDI runs.
-
-    Rounds are i.i.d., so the deciding round is one round conditioned on
-    success and the round count is Geometric(p_round).  One uniform per run
-    picks the (label pair, band) cell by inverting the cumulative cell
-    weights: a binary search for fewer than ``GUIDE_MIN_BATCH`` runs, else
-    the guide-table lookup of :func:`_deciding_cells`, which finds the same
-    cell bit for bit.  Then one geometric draw gives the
-    round count; the band indexes :data:`~mdiqct.devices.BAND_SAMPLES`.  If
-    p_round = 0 nothing is drawn: ``rounds`` is the largest int64, the pair
-    −1 and the band the failure band.
-    """
-    p_round, cumulative, guide = _success_table(y, channel, detector, extended)
-    if p_round <= 0.0:
-        never = np.full(n, np.iinfo(np.int64).max)
-        return never, np.full(n, -1, np.int8), np.full(n, devices.FAILURE_BAND, np.int8)
-    # int8 cells (< 96) keep the split and every caller's array arithmetic cheap.
-    cell = _draw_cells(rng, n, cumulative, guide)
-    pair = cell // 6
-    return rng.geometric(p_round, size=n), pair, cell - 6 * pair
-
-
-def _draw_cells(
-    rng: np.random.Generator, n: int, cumulative: np.ndarray, guide: np.ndarray
-) -> np.ndarray:
-    """The int8 deciding cells 6·pair + band of ``n`` runs, from one uniform each."""
-    u = rng.random(n)
-    if n < GUIDE_MIN_BATCH:
-        return cumulative.searchsorted(u, side="right").astype(np.int8)
-    return _deciding_cells(u, cumulative, guide)
-
-
-# The estimator's honest-run draws read the raw 64-bit words of PCG64, the
-# words numpy builds its own draws from, in blocks of at most BLOCK_WORDS
-# (128 KiB): ``rng.random`` of a word w is (w >> 11)·2⁻⁵³, so its guide
-# bucket is w >> 52.
+# Honest runs are drawn in blocks of at most BLOCK_WORDS 64-bit words
+# (128 KiB).  ``rng.random`` of a word w is (w >> 11)·2⁻⁵³, so the guide
+# bucket of its uniform is w >> 52.
 BLOCK_WORDS = 1 << 14
 _UNIFORM_SHIFT = 11  # a uniform keeps the top 53 bits of its word
 _BUCKET_SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)
 _WORD_MAX = (1 << 64) - 1
-# A bucket code with this bit set marks a bucket that a cumulative weight
-# cuts: its words are searched.  Every code below it is some cell's code.
-_UNSURE = 0x80
-_CELL_CODES = np.arange(96, dtype=np.uint8)  # a cell's code is the cell itself
 # The bits of a run code (see sample_run_codes).
 RUN_A_BIT = 1
 RUN_ABORT = 2
+RUN_NOT_FOUND = 4
+# A bucket code with this bit set marks a bucket that a cumulative weight
+# cuts: its words are searched.  Every code below it is some cell's code.
+_UNSURE = 0x80
 
-
-def _blocks(n: int, size: int = BLOCK_WORDS) -> list[slice]:
-    """Consecutive slices of at most ``size`` items that cover range(n)."""
-    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
-
-
-def _require_pcg64(rng: np.random.Generator) -> None:
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise ParameterError(
-            f"honest-run sampling reads raw PCG64 words, got a {type(rng.bit_generator).__name__} generator"
-        )
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """``rng.random`` of these raw PCG64 words, exactly: (w >> 11)·2⁻⁵³."""
-    return (words >> _UNIFORM_SHIFT) * 2.0**-53
-
-
-# The run code of each deciding cell 6·pair + band, then _UNSURE at index 96,
-# which a guide entry −1 (a cut bucket) gathers.  A's bit and the zero cells
-# of is_zero_cell are the same for every y.
+# The run code of each cell: the 96 deciding cells 6·pair + band, then cell
+# 96, the run that finds no success, then _UNSURE at index 97, which a guide
+# entry −1 (a cut bucket) gathers.  A's bit and the zero cells of
+# is_zero_cell are the same for every y.
 _RUN_CODES = np.array([
     *(
         ALL_LABELS[pair >> 2].bit * RUN_A_BIT
@@ -430,147 +334,62 @@ _RUN_CODES = np.array([
         for pair in range(16)
         for band in range(6)
     ),
+    RUN_NOT_FOUND,
     _UNSURE,
 ], dtype=np.uint8)
 _RUN_CODES.setflags(write=False)
 
 
+def found_probability(p_round: float, max_rounds: Optional[int]) -> float:
+    """P(found) = 1 − (1 − p_round)^max_rounds, that a run succeeds within
+    ``max_rounds`` rounds; 1 for ``max_rounds`` None."""
+    if max_rounds is None or p_round >= 1.0:  # log1p(−1) is a domain error
+        return 1.0
+    return -math.expm1(max_rounds * math.log1p(-p_round))
+
+
 @lru_cache(maxsize=32)
-def _run_codes_by_bucket(
-    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool
-) -> np.ndarray:
-    """The run code of each bucket of the guide table of :func:`_success_table`,
-    or ``_UNSURE`` where a cumulative weight cuts the bucket."""
-    by_bucket = _RUN_CODES[_success_table(y, channel, detector, extended)[2]]
-    by_bucket.setflags(write=False)
-    return by_bucket
+def _run_table(
+    y: float, channel: ChannelParams, detector: DetectorParams, extended: bool, max_rounds: Optional[int]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The per-round success probability p_round, the cumulative weights of
+    the 96 deciding cells, and the uint8 run code of each of the
+    ``GUIDE_BUCKETS`` buckets of [0, 1).
 
-
-def _draw_codes(
-    rng: np.random.Generator, n: int, cumulative: np.ndarray, by_bucket: np.ndarray, by_cell: np.ndarray
-) -> np.ndarray:
-    """``by_cell[cell]`` of the deciding cells of ``n`` runs as uint8, from one raw word each.
-
-    The word's uniform picks the cell as :func:`_draw_cells` does, bit for
-    bit: a binary search below ``GUIDE_MIN_BATCH`` runs, else the code of the
-    word's guide bucket, ``by_bucket[w >> 52]``, and a search of the words
-    whose bucket is ``_UNSURE``.
+    Cell 6·pair + band is a successful (label pair, band) round, pair-major,
+    weighted by its share of p_round times :func:`found_probability`.  Cell
+    96 holds the rest: the run that finds no success within ``max_rounds``.
+    The cell of a uniform u is #{c <= u} over the weights c.  A bucket's code is the code of the cell of every u in it, or
+    ``_UNSURE`` where a cumulative weight falls strictly inside the bucket.
     """
-    codes = np.empty(n, np.uint8)
-    bitgen = rng.bit_generator
-    for block in _blocks(n):
-        out = codes[block]
-        words = bitgen.random_raw(out.size)
-        if n < GUIDE_MIN_BATCH:
-            out[:] = by_cell[cumulative.searchsorted(_uniforms(words), side="right")]
-            continue
-        out[:] = by_bucket[(words >> _BUCKET_SHIFT).view(np.intp)]
-        unsure = np.flatnonzero(out >= _UNSURE)
-        out[unsure] = by_cell[cumulative.searchsorted(_uniforms(words[unsure]), side="right")]
-    return codes
+    p_plus, p_minus, _ = _label_tables(y)
+    genuine, pd, dd, _ = devices.round_rates(channel.t_a, channel.t_b, detector, extended)
+    success = np.column_stack([np.tile((pd, pd, dd, dd), (16, 1)), genuine * p_plus, genuine * p_minus])
+    cumulative = np.cumsum(success)
+    p_round = float(cumulative[-1]) / 16.0  # uniform pairs: 1/16 each
+    if p_round > 0.0:
+        cumulative /= cumulative[-1]
+        cumulative *= found_probability(p_round, max_rounds)  # times 1 leaves them bit for bit
+    # The cell of u is #{c <= u}.  At u = b/M that is #{c·M <= b} = #{ceil(c·M) <= b},
+    # and it holds over the whole bucket unless some c·M lies in (b, b+1).
+    scaled = cumulative * GUIDE_BUCKETS
+    counts = np.bincount(np.ceil(scaled).astype(np.intp), minlength=GUIDE_BUCKETS + 1)
+    cell = counts[:GUIDE_BUCKETS].cumsum()
+    cell[scaled[scaled % 1.0 != 0.0].astype(np.intp)] = -1
+    by_bucket = _RUN_CODES[cell]
+    for arr in (cumulative, by_bucket):
+        arr.setflags(write=False)
+    return p_round, cumulative, by_bucket
 
 
-# numpy's geometric draw searches its partial sums from p >= 1/3 (the double
-# nearest 1/3) and inverts an exponential below.
-_GEOMETRIC_SEARCH_MIN_P = 1.0 / 3.0
+def _blocks(n: int, size: int = BLOCK_WORDS) -> list[slice]:
+    """Consecutive slices of at most ``size`` items that cover range(n)."""
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-@lru_cache(maxsize=64)
-def _geometric_search_sum(p: float, m: int) -> float:
-    """The partial sum of numpy's geometric search after ``m`` terms, summed as
-    it sums them.  Once adding a term leaves the sum unchanged, every later,
-    smaller term does too, so the loop stops there."""
-    q = 1.0 - p
-    total = term = p
-    for _ in range(m - 1):
-        term *= q
-        grown = total + term
-        if grown == total:
-            break
-        total = grown
-    return total
-
-
-def _largest_found_word(p: float, m: int) -> int:
-    """The largest raw word whose uniform U finds a run within ``m`` rounds, for p ≥ 1/3.
-
-    U = (w >> 11)·2⁻⁵³ is at most the partial sum S iff w >> 11 ≤ floor(S·2⁵³),
-    since w >> 11 is an integer and S·2⁵³ is exact.
-    """
-    top = min(math.floor(_geometric_search_sum(p, m) * 2.0**53), (1 << 53) - 1)
-    return top << _UNIFORM_SHIFT | (1 << _UNIFORM_SHIFT) - 1
-
-
-def _exponential_found(e: np.ndarray, p: float, m: int) -> np.ndarray:
-    """Whether each exponential E gives a count ceil(−E / log1p(−p)) of at
-    most ``m``, that is −E / log1p(−p) ≤ m; divides ``e`` in place."""
-    limit = float(m)  # the largest double <= m, so that comparing in doubles is exact
-    if limit > m:
-        limit = math.nextafter(limit, 0.0)
-    e /= -math.log1p(-p)
-    return e <= limit
-
-
-def geometric_at_most(rng: np.random.Generator, p: float, m: int, n: int) -> np.ndarray:
-    """``rng.geometric(p, n) <= m``, element for element, without the counts.
-
-    It makes the draws numpy's geometric makes, from the same stream: for
-    p ≥ 1/3 a uniform U, and the count is at most m iff U does not exceed
-    the search's partial sum after m terms, which is the raw-word comparison
-    of :func:`_largest_found_word`; below, an exponential E, and the count
-    ceil(−E / log1p(−p)) is at most m iff −E / log1p(−p) ≤ m.  For m below
-    the largest int64 this also holds where numpy clamps a count from 2⁶³ on
-    to that value.  Words and exponentials are drawn in blocks of
-    ``BLOCK_WORDS``.  When every word is found the words are skipped with
-    ``advance``, which leaves the stream where drawing them would, unless
-    a half word of an earlier 32-bit draw is pending: advance drops it.
-    """
-    _require_pcg64(rng)
-    found = np.empty(n, bool)
-    bitgen = rng.bit_generator
-    if p >= _GEOMETRIC_SEARCH_MIN_P:
-        largest = _largest_found_word(p, m)
-        if largest == _WORD_MAX and not bitgen.state["has_uint32"]:
-            bitgen.advance(n)
-            found.fill(True)
-            return found
-        for block in _blocks(n):
-            out = found[block]
-            np.less_equal(bitgen.random_raw(out.size), np.uint64(largest), out=out)
-        return found
-    for block in _blocks(n):
-        out = found[block]
-        out[:] = _exponential_found(rng.standard_exponential(out.size), p, m)
-    return found
-
-
-def sample_deciding_cells(
-    y: float,
-    channel: ChannelParams,
-    detector: DetectorParams,
-    extended: bool,
-    max_rounds: int,
-    rng: np.random.Generator,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (cell, found) of ``n`` independent honest MDI runs.
-
-    ``cell`` is the int8 deciding cell 6·pair + band that
-    :func:`sample_deciding_rounds` splits, and ``found`` says whether the run
-    finds it within ``max_rounds`` rounds: ``rounds <= max_rounds`` of that
-    sampler, from the same draws.  Both are read from raw PCG64 words in
-    blocks (see :func:`_draw_codes` and :func:`geometric_at_most`), so a
-    generator on any other bit generator is refused with
-    :class:`ParameterError`.  If p_round = 0 nothing is drawn, every cell is
-    0 and no run is found.
-    """
-    _require_pcg64(rng)
-    p_round, cumulative, guide = _success_table(y, channel, detector, extended)
-    if p_round <= 0.0:
-        return np.zeros(n, np.int8), np.zeros(n, bool)
-    # A cut bucket's guide entry −1 reads as 0xFF as uint8, which has the _UNSURE bit.
-    cell = _draw_codes(rng, n, cumulative, guide.view(np.uint8), _CELL_CODES).view(np.int8)
-    return cell, geometric_at_most(rng, p_round, max_rounds, n)
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """``rng.random`` of these 64-bit words, exactly: (w >> 11)·2⁻⁵³."""
+    return (words >> _UNIFORM_SHIFT) * 2.0**-53
 
 
 def sample_run_codes(
@@ -581,20 +400,32 @@ def sample_run_codes(
     max_rounds: int,
     rng: np.random.Generator,
     n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_deciding_cells` with each run's uint8 code in place of its cell.
+) -> np.ndarray:
+    """The uint8 run codes of ``n`` independent honest MDI runs, one 64-bit word each.
 
-    A run code holds A's bit (``RUN_A_BIT``) and whether B's check aborts
-    the run (``RUN_ABORT``), which is all the estimator reads of a cell; one
-    cached code per guide bucket saves the cell and both lookups.
+    Rounds are i.i.d., so whether a run succeeds within ``max_rounds``
+    rounds does not depend on its deciding round, and a run is one draw
+    over the 97 cells of :func:`_run_table`.  A run code holds A's bit
+    (``RUN_A_BIT``), whether B's check aborts the run (``RUN_ABORT``) and
+    whether the run finds no success (``RUN_NOT_FOUND``), which is all the
+    estimator reads of a run.  From ``GUIDE_MIN_BATCH`` runs on the words
+    come from ``rng.integers`` in blocks of ``BLOCK_WORDS``; each gives the
+    code of its guide bucket, w >> 52, and the words of a cut bucket are
+    binary-searched.  Fewer runs are binary-searched outright from
+    ``rng.random(n)``, which reads the same words, so the batch size moves
+    no draw.
     """
-    _require_pcg64(rng)
-    p_round, cumulative, _ = _success_table(y, channel, detector, extended)
-    if p_round <= 0.0:
-        return np.zeros(n, np.uint8), np.zeros(n, bool)
-    by_bucket = _run_codes_by_bucket(y, channel, detector, extended)
-    code = _draw_codes(rng, n, cumulative, by_bucket, _RUN_CODES)
-    return code, geometric_at_most(rng, p_round, max_rounds, n)
+    _, cumulative, by_bucket = _run_table(y, channel, detector, extended, max_rounds)
+    if n < GUIDE_MIN_BATCH:
+        return _RUN_CODES[cumulative.searchsorted(rng.random(n), side="right")]
+    codes = np.empty(n, np.uint8)
+    for block in _blocks(n):
+        out = codes[block]
+        words = rng.integers(0, _WORD_MAX, size=out.size, dtype=np.uint64, endpoint=True)
+        out[:] = by_bucket[(words >> _BUCKET_SHIFT).view(np.intp)]
+        unsure = np.flatnonzero(out >= _UNSURE)
+        out[unsure] = _RUN_CODES[cumulative.searchsorted(_uniforms(words[unsure]), side="right")]
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +502,9 @@ class _Run:
 def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
     """Steps 1–2 of the main flow, then the shared steps 3–5.
 
-    Honest play draws its deciding round with :func:`sample_deciding_rounds`.
+    Honest play draws its deciding (label pair, band) cell from
+    :func:`_run_table` with P(found) = 1, then its Geometric(p_round) round
+    count; failed rounds are not walked.
     In role ``ALICE`` A sends whatever ``prepare`` returns, which the honest
     success table does not describe, so her rounds are walked one by one.
     In role ``BLACKBOX`` her own rigged box replaces the projection:
@@ -689,8 +522,13 @@ def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator) -> Transcrip
         return run.finish(1, outcome, None, bob, "med-correct" if guess == bob else "med-wrong")
 
     if run.role is Role.HONEST:
-        drawn = sample_deciding_rounds(y, config.channel, config.detector, config.extended_dark_model, rng, 1)
-        rounds, pair, band = (int(v[0]) for v in drawn)
+        p_round, cumulative, _ = _run_table(y, config.channel, config.detector, config.extended_dark_model, None)
+        if p_round <= 0.0:
+            raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
+        # The deciding cell, then the round count: a binary search of one
+        # uniform, as sample_run_codes searches below GUIDE_MIN_BATCH runs.
+        pair, band = divmod(int(cumulative.searchsorted(rng.random(), side="right")), 6)
+        rounds = int(rng.geometric(p_round))
         alice, bob, sample = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3], devices.BAND_SAMPLES[band]
     else:
         alice, rounds, sample = None, 0, devices.BAND_SAMPLES[devices.FAILURE_BAND]
@@ -711,11 +549,10 @@ def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator) -> Transcrip
 def run_honest(config: RunConfig, rng: np.random.Generator) -> Transcript:
     """One honest execution of the main flow.
 
-    Failed rounds are not simulated: the round count and the deciding round
-    are drawn directly (see :func:`sample_deciding_rounds`), which is exact
-    because rounds are i.i.d.  A run whose round count exceeds
-    ``config.max_rounds``, or in which no round can succeed, raises
-    :class:`ExhaustionError`.
+    Failed rounds are not simulated: the deciding round and the round count
+    are drawn directly (see :func:`_run_mdi`), which is exact because rounds
+    are i.i.d.  A run whose round count exceeds ``config.max_rounds``, or in
+    which no round can succeed, raises :class:`ExhaustionError`.
     """
     if config.mode is not Mode.MDI:
         raise ConfigurationError(f"run_honest requires mdi mode, got {config.mode.value}")

@@ -26,7 +26,6 @@ from mdiqct.devices import (
     OUTCOME_PSI_PLUS,
     ChannelParams,
     DetectorParams,
-    outcome_from_code,
     sample_bsm_noisy_batch,
 )
 from mdiqct.errors import ParameterError, UnknownScenarioError
@@ -56,10 +55,10 @@ def restart_loop(config, rng, n):
     p_plus = table.panel(BsmOutcome.PSI_PLUS).ravel()
     p_minus = table.panel(BsmOutcome.PSI_MINUS).ravel()
     zero = np.zeros((3, 16), dtype=bool)  # by (outcome code, label pair)
-    for code in (OUTCOME_PSI_PLUS, OUTCOME_PSI_MINUS):
+    for code, outcome in ((OUTCOME_PSI_PLUS, BsmOutcome.PSI_PLUS), (OUTCOME_PSI_MINUS, BsmOutcome.PSI_MINUS)):
         for pair in range(16):
             la, lb = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3]
-            zero[code, pair] = is_zero_cell(outcome_from_code(code), la, lb)
+            zero[code, pair] = is_zero_cell(outcome, la, lb)
     abort = np.zeros(n, dtype=bool)
     rounds = np.zeros(n, dtype=np.int64)
     pending = np.arange(n)

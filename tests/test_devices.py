@@ -10,16 +10,18 @@ import pytest
 
 from conftest import assert_within_sigmas
 from mdiqct.devices import (
+    BAND_OUTCOME,
+    BAND_SAMPLES,
     CAUSE_BOTH,
     CAUSE_DARK_DARK,
     CAUSE_PHOTON_DARK,
+    OUTCOME_FAILURE,
     OUTCOME_PSI_MINUS,
     OUTCOME_PSI_PLUS,
     BsmSample,
     ChannelParams,
     DetectorParams,
     EventCause,
-    outcome_from_code,
     poisson_tail_at_least_two,
     sample_bsm_ideal,
     sample_bsm_noisy,
@@ -31,6 +33,13 @@ from mdiqct.devices import (
 )
 from mdiqct.errors import ParameterError
 from mdiqct.qmath import BsmOutcome, atvy_state, bell_projection_probs
+
+# The outcome of each integer code of the batch sampler.
+OUTCOME_BY_CODE = {
+    OUTCOME_FAILURE: BsmOutcome.FAILURE,
+    OUTCOME_PSI_PLUS: BsmOutcome.PSI_PLUS,
+    OUTCOME_PSI_MINUS: BsmOutcome.PSI_MINUS,
+}
 
 
 def length_for_t(t: float) -> float:
@@ -249,9 +258,7 @@ class TestBatchSampler:
         )
         scalar_out = np.empty(n, dtype=np.int8)
         scalar_cause = np.empty(n, dtype=np.int8)
-        code_by_outcome = {
-            BsmOutcome.FAILURE: 0, BsmOutcome.PSI_PLUS: 1, BsmOutcome.PSI_MINUS: 2,
-        }
+        code_by_outcome = {outcome: code for code, outcome in OUTCOME_BY_CODE.items()}
         code_by_cause = {
             EventCause.FAILURE: 0, EventCause.BOTH_PHOTONS: CAUSE_BOTH,
             EventCause.PHOTON_DARK: CAUSE_PHOTON_DARK, EventCause.DARK_DARK: CAUSE_DARK_DARK,
@@ -273,9 +280,9 @@ class TestBatchSampler:
             assert_within_sigmas(f_batch, f_scalar, se)
 
     def test_outcome_code_round_trip(self):
-        assert outcome_from_code(OUTCOME_PSI_PLUS) is BsmOutcome.PSI_PLUS
-        assert outcome_from_code(OUTCOME_PSI_MINUS) is BsmOutcome.PSI_MINUS
-        assert outcome_from_code(0) is BsmOutcome.FAILURE
+        """The batch sampler's outcome code of each band is the code of that band's scalar outcome."""
+        assert OUTCOME_FAILURE == 0
+        assert [OUTCOME_BY_CODE[code] for code in BAND_OUTCOME.tolist()] == [s.outcome for s in BAND_SAMPLES]
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ParameterError):
