@@ -32,7 +32,6 @@ from .devices import (
     ChannelParams,
     DetectorParams,
     round_rates,
-    sample_bsm_noisy_batch,
 )
 from .errors import ParameterError, UnknownScenarioError
 from .protocol import (
@@ -40,14 +39,17 @@ from .protocol import (
     DEFAULT_MAX_ROUNDS,
     RUN_A_BIT,
     RUN_ABORT,
+    RUN_CAUSE_SHIFT,
+    RUN_NOT_FOUND,
     _blocks,
     _label_tables,
     found_probability,
     sample_run_codes,
 )
 from .qmath import ALL_LABELS, SENT_STATES, BsmOutcome, cheating_table, validate_int, validate_y
-# verification_table is unused here but stays importable from this module:
-# perfbench/tracer.py wraps analysis.verification_table by name.
+# sample_bsm_noisy_batch and verification_table are unused here but stay
+# importable from this module: perfbench/tracer.py wraps both by name.
+from .devices import sample_bsm_noisy_batch  # noqa: F401
 from .qmath import verification_table  # noqa: F401
 
 # ---------------------------------------------------------------------------
@@ -280,64 +282,37 @@ def _raw_bits(rng: np.random.Generator, n: int, bits: int = 1) -> np.ndarray:
     return rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n] >> (32 - bits)
 
 
-def _sampled_rounds(rng: np.random.Generator, n: int, p: dict):
-    """One physical round per trial on uniform label pairs, yielded in blocks
-    of (pair, outcome, cause).  Every pair is drawn before the first round, as
-    ``rng.integers(16, size=n)`` draws them, so the draws are those of one batch.
-
-    sample_bsm_noisy_batch holds about seven float64 arrays of a block, so a
-    chunk peaks near 1.1 MiB.  Half-size blocks kept it at 0.6 MiB without
-    page faults on one thread, but with two workers their extra numpy calls
-    made the honest-channel benchmark 30% slower than whole-chunk batches.
-    """
-    p_plus, p_minus, _ = _label_tables(p["y"])
-    pair = np.empty(n, np.uint8)
-    for block in _blocks(n):  # an even block size leaves no half word pending
-        pair[block] = _raw_bits(rng, block.stop - block.start, 4)
-    for block in _blocks(n):
-        # Gathers with intp indices cost about a third of uint8 ones, which pays for the cast.
-        pairs = pair[block].astype(np.intp)
-        outcome, cause = sample_bsm_noisy_batch(
-            p_plus[pairs], p_minus[pairs], p["channel"], p["detector"], rng, extended=p["extended"]
-        )
-        yield pairs, outcome, cause
+def _run_codes(rng: np.random.Generator, n: int, p: dict, max_rounds: int) -> np.ndarray:
+    """The run codes of ``n`` honest runs of at most ``max_rounds`` rounds
+    (see :func:`protocol.sample_run_codes`)."""
+    return sample_run_codes(p["y"], p["channel"], p["detector"], p["extended"], max_rounds, rng, n)
 
 
 def _kernel_honest_round_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
-    """One physical round per trial: labels, device events, verification."""
-    _, _, zero = _label_tables(p["y"])
-    zero = zero.ravel()  # flat index 16·outcome + pair
-    aborts = sum(np.count_nonzero(zero[16 * outcome + pair]) for pair, outcome, _ in _sampled_rounds(rng, n, p))
-    return aborts, n
+    """One physical round per trial, a run capped at one round: counts aborting rounds."""
+    return np.count_nonzero(_run_codes(rng, n, p, 1) & RUN_ABORT), n
 
 
 def _kernel_honest_round_cause(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
-    """Frequency of one event cause among successful rounds."""
-    hits = successes = 0
-    for _pair, outcome, cause in _sampled_rounds(rng, n, p):
-        success = outcome != 0
-        hits += np.count_nonzero((cause == p["cause_code"]) & success)
-        successes += np.count_nonzero(success)
-    return hits, successes
-
-
-def _run_codes(rng: np.random.Generator, n: int, p: dict) -> np.ndarray:
-    """The run codes of ``n`` full honest runs (see :func:`protocol.sample_run_codes`)."""
-    return sample_run_codes(p["y"], p["channel"], p["detector"], p["extended"], p["max_rounds"], rng, n)
+    """Frequency of one event cause among successful rounds, one round per trial."""
+    code = _run_codes(rng, n, p, 1)
+    hits = np.count_nonzero(code >> RUN_CAUSE_SHIFT == p["cause_code"])
+    return hits, np.count_nonzero(code != RUN_NOT_FOUND)
 
 
 def _kernel_honest_run_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Full honest runs (restart until success); counts aborting runs."""
-    return np.count_nonzero(_run_codes(rng, n, p) & RUN_ABORT), n
+    return np.count_nonzero(_run_codes(rng, n, p, p["max_rounds"]) & RUN_ABORT), n
 
 
 def _kernel_honest_coin(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Coin value over accepting honest runs; counts coin == 0."""
-    code = _run_codes(rng, n, p)
-    # An accepted run's code is its bare A bit, so code == b′ iff the run is
-    # accepted with a ⊕ b′ = 0.  b′ in blocks of whole words, so they
-    # continue one stream; the run draws take whole words, so no half word
-    # is pending at the first.
+    code = _run_codes(rng, n, p, p["max_rounds"])
+    # Without its cause bits an accepted run's code is its bare A bit, so
+    # code == b′ iff the run is accepted with a ⊕ b′ = 0.  b′ in blocks of
+    # whole words, so they continue one stream; the run draws take whole
+    # words, so no half word is pending at the first.
+    code &= RUN_A_BIT | RUN_ABORT | RUN_NOT_FOUND
     coin_zero = 0
     for block in _blocks(n, 2 * BLOCK_WORDS):
         coin_zero += np.count_nonzero(code[block] == _raw_bits(rng, block.stop - block.start))
@@ -432,7 +407,7 @@ def _kernel_alice_blinding(rng: np.random.Generator, n: int, p: dict) -> tuple[i
 
 def _kernel_table_cell(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Ideal-measurement frequencies for one label pair, conditioned on success."""
-    p_plus, p_minus, _ = _label_tables(p["y"])
+    p_plus, p_minus = _label_tables(p["y"])
     pair = 4 * p["index_a"] + p["index_b"]
     pp, pm = float(p_plus[pair]), float(p_minus[pair])
     u = rng.random(n)

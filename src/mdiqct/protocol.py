@@ -31,8 +31,9 @@ Geometric(t_a·η) and its labels and measurement once.  The estimator reads
 the round count only as ``rounds <= max_rounds``, so
 :func:`sample_run_codes` draws a whole run as one 64-bit word: a categorical
 over the 96 deciding cells, each weighted by P(found), and one cell for the
-run that finds no success within ``max_rounds``.  Every flow draws from the
-caller's generator alone.
+run that finds no success within ``max_rounds``.  A run capped at one round
+is one physical round, so the per-round estimates draw the same table with
+``max_rounds`` 1.  Every flow draws from the caller's generator alone.
 
 A rigged box (role ``BLACKBOX``) receives only B's quantum state and emits
 only an outcome: B's classical label never flows into it.  Strategies
@@ -286,17 +287,14 @@ class RunView:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p⁺ and p⁻ by label pair 4·a + b (a, b: A's and B's label indices), and
-    zero-cell flags by (outcome code, label pair)."""
+def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray]:
+    """p⁺ and p⁻ by label pair 4·a + b (a, b: A's and B's label indices)."""
     table = verification_table(y)
     p_plus = np.array(table.panel(BsmOutcome.PSI_PLUS)).ravel()
     p_minus = np.array(table.panel(BsmOutcome.PSI_MINUS)).ravel()
-    # Zero cells are exact zeros of the table; a failure never sits on one.
-    zero = np.stack([np.zeros(16, dtype=bool), p_plus == 0.0, p_minus == 0.0])
-    for arr in (p_plus, p_minus, zero):
+    for arr in (p_plus, p_minus):
         arr.setflags(write=False)
-    return p_plus, p_minus, zero
+    return p_plus, p_minus
 
 
 # Buckets of the guide table.  A power of two, so u·M and c·M are exact and
@@ -315,22 +313,26 @@ BLOCK_WORDS = 1 << 14
 _UNIFORM_SHIFT = 11  # a uniform keeps the top 53 bits of its word
 _BUCKET_SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)
 _WORD_MAX = (1 << 64) - 1
-# The bits of a run code (see sample_run_codes).
+# The bits of a run code (see sample_run_codes): A's bit, the abort and the
+# not-found flag, then the deciding band's cause code (devices.CAUSE_*) in the
+# two bits from RUN_CAUSE_SHIFT on.
 RUN_A_BIT = 1
 RUN_ABORT = 2
 RUN_NOT_FOUND = 4
+RUN_CAUSE_SHIFT = 3
 # A bucket code with this bit set marks a bucket that a cumulative weight
 # cuts: its words are searched.  Every code below it is some cell's code.
 _UNSURE = 0x80
 
 # The run code of each cell: the 96 deciding cells 6·pair + band, then cell
-# 96, the run that finds no success, then _UNSURE at index 97, which a guide
-# entry −1 (a cut bucket) gathers.  A's bit and the zero cells of
-# is_zero_cell are the same for every y.
+# 96, the run that finds no success (cause 0), then _UNSURE at index 97, which
+# a guide entry −1 (a cut bucket) gathers.  A's bit, the zero cells of
+# is_zero_cell and the band's cause are the same for every y.
 _RUN_CODES = np.array([
     *(
         ALL_LABELS[pair >> 2].bit * RUN_A_BIT
         + is_zero_cell(devices.BAND_SAMPLES[band].outcome, ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3]) * RUN_ABORT
+        + (int(devices.BAND_CAUSE[band]) << RUN_CAUSE_SHIFT)
         for pair in range(16)
         for band in range(6)
     ),
@@ -359,10 +361,13 @@ def _run_table(
     Cell 6·pair + band is a successful (label pair, band) round, pair-major,
     weighted by its share of p_round times :func:`found_probability`.  Cell
     96 holds the rest: the run that finds no success within ``max_rounds``.
-    The cell of a uniform u is #{c <= u} over the weights c.  A bucket's code is the code of the cell of every u in it, or
-    ``_UNSURE`` where a cumulative weight falls strictly inside the bucket.
+    With ``max_rounds`` 1, P(found) is p_round, so each cell weighs its mass
+    in one round and cell 96 that of a failed round.  The cell of a uniform
+    u is #{c <= u} over the weights c.  A bucket's code is the code of the
+    cell of every u in it, or ``_UNSURE`` where a cumulative weight falls
+    strictly inside the bucket.
     """
-    p_plus, p_minus, _ = _label_tables(y)
+    p_plus, p_minus = _label_tables(y)
     genuine, pd, dd, _ = devices.round_rates(channel.t_a, channel.t_b, detector, extended)
     success = np.column_stack([np.tile((pd, pd, dd, dd), (16, 1)), genuine * p_plus, genuine * p_minus])
     cumulative = np.cumsum(success)
@@ -406,14 +411,16 @@ def sample_run_codes(
     Rounds are i.i.d., so whether a run succeeds within ``max_rounds``
     rounds does not depend on its deciding round, and a run is one draw
     over the 97 cells of :func:`_run_table`.  A run code holds A's bit
-    (``RUN_A_BIT``), whether B's check aborts the run (``RUN_ABORT``) and
-    whether the run finds no success (``RUN_NOT_FOUND``), which is all the
-    estimator reads of a run.  From ``GUIDE_MIN_BATCH`` runs on the words
-    come from ``rng.integers`` in blocks of ``BLOCK_WORDS``; each gives the
-    code of its guide bucket, w >> 52, and the words of a cut bucket are
-    binary-searched.  Fewer runs are binary-searched outright from
-    ``rng.random(n)``, which reads the same words, so the batch size moves
-    no draw.
+    (``RUN_A_BIT``), whether B's check aborts the run (``RUN_ABORT``),
+    whether the run finds no success (``RUN_NOT_FOUND``) and the event cause
+    of its deciding round (``code >> RUN_CAUSE_SHIFT``, 0 for a run with no
+    success), which is all the estimator reads of a run.  With ``max_rounds``
+    1 a run is one physical round, and its code that round's.  From
+    ``GUIDE_MIN_BATCH`` runs on the words come from ``rng.integers`` in
+    blocks of ``BLOCK_WORDS``; each gives the code of its guide bucket,
+    w >> 52, and the words of a cut bucket are binary-searched.  Fewer runs
+    are binary-searched outright from ``rng.random(n)``, which reads the same
+    words, so the batch size moves no draw.
     """
     _, cumulative, by_bucket = _run_table(y, channel, detector, extended, max_rounds)
     if n < GUIDE_MIN_BATCH:
@@ -571,7 +578,7 @@ def _slot_band_edges(
     :func:`~mdiqct.devices.sample_bsm_noisy`.  The band of a uniform u is the
     number of edges at or below u; 6 is the failure band.
     """
-    p_plus, p_minus, _ = _label_tables(y)
+    p_plus, p_minus = _label_tables(y)
     blocks = []
     for t_a in (0.0, channel.t_a):
         for t_b in (0.0, channel.t_b):

@@ -5,8 +5,9 @@ Geometric(p_round) round count; the estimator draws a whole run as one word
 over the 96 deciding cells, weighted by P(found), and a "not found" cell.
 The honest baseline is a Geometric(t_a·η) resend count plus one measurement.
 These tests pin the transcript fields to that table, the table's masses to
-their closed forms, its guide lookup to a binary search, and the ``rounds``
-field to its closed-form distribution.
+their closed forms (capped at one round, the per-round law), its guide
+lookup to a binary search, and the ``rounds`` field to its closed-form
+distribution.
 """
 import math
 from decimal import Decimal, localcontext
@@ -17,14 +18,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_within_sigmas
-from mdiqct.analysis import CHUNK_SIZE, bsm_success_probability, estimate, honest_abort_given_success
-from mdiqct.devices import BAND_SAMPLES, ChannelParams, DetectorParams
+from mdiqct.analysis import (
+    CHUNK_SIZE,
+    bsm_success_probability,
+    estimate,
+    honest_abort_closed_form,
+    honest_abort_given_success,
+)
+from mdiqct.devices import (
+    BAND_SAMPLES,
+    CAUSE_BOTH,
+    CAUSE_DARK_DARK,
+    CAUSE_PHOTON_DARK,
+    ChannelParams,
+    DetectorParams,
+    EventCause,
+    round_rates,
+)
 from mdiqct.errors import ExhaustionError
 from mdiqct.protocol import (
     BLOCK_WORDS,
     GUIDE_BUCKETS,
     GUIDE_MIN_BATCH,
     RUN_ABORT,
+    RUN_CAUSE_SHIFT,
     RUN_NOT_FOUND,
     Mode,
     RunConfig,
@@ -143,15 +160,24 @@ def run_tables(draw):
     )
 
 
+CAUSE_CODES = {
+    EventCause.BOTH_PHOTONS: CAUSE_BOTH,
+    EventCause.PHOTON_DARK: CAUSE_PHOTON_DARK,
+    EventCause.DARK_DARK: CAUSE_DARK_DARK,
+}
+
+
 def cell_codes(y: float) -> np.ndarray:
-    """The run code of each of the 97 cells, read off the verification table."""
+    """The run code of each of the 97 cells, read off the verification table
+    and each band's event cause."""
     table = verification_table(y)
     codes = []
     for pair in range(16):
         alice, bob = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3]
         for band in range(6):
-            zero = table.probability(BAND_SAMPLES[band].outcome, alice, bob) == 0.0
-            codes.append(alice.bit | RUN_ABORT * zero)
+            sample = BAND_SAMPLES[band]
+            zero = table.probability(sample.outcome, alice, bob) == 0.0
+            codes.append(alice.bit | RUN_ABORT * zero | CAUSE_CODES[sample.cause] << RUN_CAUSE_SHIFT)
     return np.array([*codes, RUN_NOT_FOUND], dtype=np.uint8)
 
 
@@ -293,6 +319,28 @@ class TestRunTable:
         mass, _ = self.masses(table)
         assert not (by_bucket & RUN_ABORT).any()
         assert (mass[(cell_codes(y)[:96] & RUN_ABORT) != 0] == 0.0).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=run_tables())
+    def test_one_round_is_the_round_law(self, table):
+        """A run capped at one round is one physical round: its abort, cause
+        and not-found masses are the per-round closed forms."""
+        y, channel, detector, extended, _ = table
+        mass, not_found = self.masses((y, channel, detector, extended, 1))
+        codes = cell_codes(y)[:96]
+        abort = mass[(codes & RUN_ABORT) != 0].sum()
+        expected = honest_abort_closed_form(channel, detector, extended=extended)
+        assert abort == pytest.approx(expected, rel=0.0, abs=1e-12)
+        rates = round_rates(channel.t_a, channel.t_b, detector, extended)
+        band_mass = {
+            CAUSE_BOTH: 0.5 * rates.genuine,
+            CAUSE_PHOTON_DARK: 2.0 * rates.photon_dark,
+            CAUSE_DARK_DARK: 2.0 * rates.dark_dark,
+        }
+        for cause, expected in band_mass.items():
+            assert mass[codes >> RUN_CAUSE_SHIFT == cause].sum() == pytest.approx(expected, rel=0.0, abs=1e-12)
+        success = bsm_success_probability(channel, detector, extended=extended)
+        assert not_found == pytest.approx(1.0 - success, rel=0.0, abs=1e-12)
 
 
 class TestPinnedHonestEstimates:

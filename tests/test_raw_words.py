@@ -35,12 +35,11 @@ class TestNumpyIdentities:
 
 LOSSY = dict(channel=ChannelParams(15.0, 15.0), detector=DetectorParams(eta=0.3, dark=1e-2))
 # Peak bytes of one chunk, by scenario.  Whole-chunk float64 and int64 arrays
-# took 1.5–3.3 MiB; the run kernels now peak at 0.4–0.6 MiB and the round
-# kernels, whose batched BSM sampler holds about seven float64 arrays of a
-# BLOCK_WORDS block, at 1.1 MiB.
+# took 1.5–3.3 MiB; every honest kernel now draws one 64-bit word per trial in
+# BLOCK_WORDS blocks and keeps one uint8 code per trial, and peaks near 340 KiB.
 HONEST = {
-    "honest-round-abort": ({}, 1280 * 1024),
-    "honest-round-cause": (dict(cause_code=2), 1280 * 1024),
+    "honest-round-abort": ({}, 768 * 1024),
+    "honest-round-cause": (dict(cause_code=2), 768 * 1024),
     "honest-run-abort": ({}, 768 * 1024),
     "honest-coin": ({}, 768 * 1024),
 }
