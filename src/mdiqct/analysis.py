@@ -10,10 +10,21 @@ form of the mean if any), ``KEYWORDS`` each keyword once (default, domain);
 :func:`estimate` refuses whatever lies outside these declarations.
 
 Estimation is deterministic and worker-count independent: trials are split
-into fixed-size chunks, each chunk's generator is derived from
+into chunks of ``CHUNK_SIZE`` = 2¹⁸, each chunk's generator is derived from
 ``SeedSequence(seed, spawn_key=(chunk_index,))``, and per-chunk integer
 counts are summed, so the result is bit-identical no matter how chunks are
-scheduled.
+scheduled.  Each worker thread runs one contiguous range of chunks.
+
+A chunk draws full-range 64-bit words only, and as few bits as each law
+needs.  The fair choices of a trial are the bits of one byte of those words.
+A Born outcome u < p reads one more byte as the top of the trial's 53-bit
+uniform u, and the low 45 bits only where that byte ties with the top byte
+of ⌈p·2⁵³⌉ (:func:`_born`), so it holds with probability exactly
+⌈p·2⁵³⌉·2⁻⁵³, as ``rng.random() < p`` does.  An honest run reads a 16-bit
+prefix of its uniform (:func:`protocol.sample_run_codes`), and b′ one bit.
+The kernels work on whole chunks, the honest ones in blocks of
+``RUN_BLOCK`` runs, and write into per-thread scratch buffers that later
+calls reuse, so a chunk allocates little beyond its draws.
 """
 from __future__ import annotations
 
@@ -35,14 +46,15 @@ from .devices import (
 )
 from .errors import ParameterError, UnknownScenarioError
 from .protocol import (
-    BLOCK_WORDS,
     DEFAULT_MAX_ROUNDS,
     RUN_A_BIT,
     RUN_ABORT,
+    RUN_BLOCK,
     RUN_CAUSE_SHIFT,
     RUN_NOT_FOUND,
-    _blocks,
     _label_tables,
+    _scratch,
+    _words,
     found_probability,
     sample_run_codes,
 )
@@ -222,10 +234,12 @@ def solve_fair_y(tolerance: float = 1e-10) -> FairPoint:
     interval, so no general solver is needed.  The root is 0.9 and the
     resulting bias over a fair coin is 0.4.
     """
-    if tolerance <= 0.0:
-        raise ParameterError(f"tolerance must be > 0, got {tolerance}")
-    f = lambda y: cheat_alice_coherent(y) - y
     lo, hi = 0.5 + 1e-12, 1.0 - 1e-12
+    # A NaN tolerance fails every comparison, and one no smaller than the
+    # bracket stops the bisection at once: both would report the midpoint.
+    if not (math.isfinite(tolerance) and 0.0 < tolerance < hi - lo):
+        raise ParameterError(f"tolerance must be finite, > 0 and below {hi - lo!r}, got {tolerance}")
+    f = lambda y: cheat_alice_coherent(y) - y
     if not (f(lo) > 0.0 > f(hi)):
         raise ParameterError("fairness bracket lost; the closed forms changed")
     while hi - lo > tolerance:
@@ -252,7 +266,7 @@ def chi_square_uniform(counts) -> tuple[float, float]:
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
 
-CHUNK_SIZE = 1 << 16
+CHUNK_SIZE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -274,108 +288,215 @@ class Estimate:
 Kernel = Callable[[np.random.Generator, int, dict], tuple[int, int]]
 
 
-def _raw_bits(rng: np.random.Generator, n: int, bits: int = 1) -> np.ndarray:
-    """``rng.integers(1 << bits, size=n)`` as uint32, bit for bit, for a PCG64
-    generator with no pending half word: numpy's bounded draw of a range of
-    2**bits takes the top ``bits`` bits of each 32-bit half of a raw word, low
-    half first, and never rejects one."""
-    return rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n] >> (32 - bits)
+def _run_codes(rng: np.random.Generator, n: int, p: dict, max_rounds: int):
+    """The run codes of ``n`` honest runs (see :func:`protocol.sample_run_codes`),
+    block by block of at most ``RUN_BLOCK``, each written over the last in this
+    thread's scratch, which the caller may overwrite."""
+    codes = _scratch("run-codes", np.uint8, min(n, RUN_BLOCK))
+    for start in range(0, n, RUN_BLOCK):
+        block = codes[:min(RUN_BLOCK, n - start)]
+        table = (p["y"], p["channel"], p["detector"], p["extended"], max_rounds)
+        yield sample_run_codes(*table, rng, block.size, block)
 
 
-def _run_codes(rng: np.random.Generator, n: int, p: dict, max_rounds: int) -> np.ndarray:
-    """The run codes of ``n`` honest runs of at most ``max_rounds`` rounds
-    (see :func:`protocol.sample_run_codes`)."""
-    return sample_run_codes(p["y"], p["channel"], p["detector"], p["extended"], max_rounds, rng, n)
+def _aborts(rng: np.random.Generator, n: int, p: dict, max_rounds: int) -> int:
+    """The number of aborting runs among ``n`` honest runs of at most ``max_rounds`` rounds."""
+    runs = _run_codes(rng, n, p, max_rounds)
+    return sum(np.count_nonzero(np.bitwise_and(code, RUN_ABORT, out=code)) for code in runs)
 
 
 def _kernel_honest_round_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """One physical round per trial, a run capped at one round: counts aborting rounds."""
-    return np.count_nonzero(_run_codes(rng, n, p, 1) & RUN_ABORT), n
+    return _aborts(rng, n, p, 1), n
 
 
 def _kernel_honest_round_cause(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Frequency of one event cause among successful rounds, one round per trial."""
-    code = _run_codes(rng, n, p, 1)
-    hits = np.count_nonzero(code >> RUN_CAUSE_SHIFT == p["cause_code"])
-    return hits, np.count_nonzero(code != RUN_NOT_FOUND)
+    hits = found = 0
+    for code in _run_codes(rng, n, p, 1):
+        is_cause = _scratch("is-cause", np.bool_, code.size)
+        found += code.size - np.count_nonzero(np.equal(code, RUN_NOT_FOUND, out=is_cause))
+        cause = np.right_shift(code, RUN_CAUSE_SHIFT, out=code)
+        hits += np.count_nonzero(np.equal(cause, p["cause_code"], out=is_cause))
+    return hits, found
 
 
 def _kernel_honest_run_abort(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Full honest runs (restart until success); counts aborting runs."""
-    return np.count_nonzero(_run_codes(rng, n, p, p["max_rounds"]) & RUN_ABORT), n
+    return _aborts(rng, n, p, p["max_rounds"]), n
 
 
 def _kernel_honest_coin(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Coin value over accepting honest runs; counts coin == 0."""
-    code = _run_codes(rng, n, p, p["max_rounds"])
-    # Without its cause bits an accepted run's code is its bare A bit, so
-    # code == b′ iff the run is accepted with a ⊕ b′ = 0.  b′ in blocks of
-    # whole words, so they continue one stream; the run draws take whole
-    # words, so no half word is pending at the first.
-    code &= RUN_A_BIT | RUN_ABORT | RUN_NOT_FOUND
-    coin_zero = 0
-    for block in _blocks(n, 2 * BLOCK_WORDS):
-        coin_zero += np.count_nonzero(code[block] == _raw_bits(rng, block.stop - block.start))
-    return coin_zero, np.count_nonzero(code <= RUN_A_BIT)
+    coin_zero = accepted = 0
+    for code in _run_codes(rng, n, p, p["max_rounds"]):
+        m = code.size
+        # b′ of each run after the block's runs: one bit each, the bits of each byte low first.
+        b_prime = np.unpackbits(_words(rng, -(-m // 64)).view(np.uint8), count=m, bitorder="little")
+        # Without its cause bits an accepted run's code is its bare A bit, so
+        # code ⊕ b′ is 0 iff the run is accepted with a ⊕ b′ = 0, and at most
+        # 1 iff it is accepted.
+        code &= RUN_A_BIT | RUN_ABORT | RUN_NOT_FOUND
+        code ^= b_prime
+        coin_zero += m - np.count_nonzero(code)
+        accepted += m - np.count_nonzero(np.right_shift(code, 1, out=code))
+    return coin_zero, accepted
 
 
-def _fair_bits(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, ...]:
-    """``count`` (at most 8) independent fair bits per trial, each a distinct
-    bit of one random byte: a tuple of uint8 arrays of 0s and 1s."""
-    byte = rng.integers(0, 256, size=n, dtype=np.uint8)
-    return tuple((byte >> k) & 1 for k in range(count))
+def _bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` random bytes, one per trial: the bytes of ⌈n/8⌉ full-range words,
+    which on PCG64 are those of ``rng.integers(0, 256, size=n, dtype=np.uint8)``."""
+    return _words(rng, -(-n // 8)).view(np.uint8)[:n]
 
 
-def _born(rng: np.random.Generator, n: int, index: np.ndarray, probs) -> np.ndarray:
-    """One Born outcome per trial, ``rng.random(n) < probs[index]``.
+def _slot(slot: int, n: int) -> np.ndarray:
+    """This thread's uint8 scratch plane ``slot``; the attack kernels share the
+    slots, as a thread runs one kernel at a time."""
+    return _scratch(f"plane-{slot}", np.uint8, n)
 
-    The comparison runs once per entry of the short ``probs`` instead of
-    gathering a float threshold per trial, which costs several times more.
+
+def _plane(byte: np.ndarray, k: int, slot: int) -> np.ndarray:
+    """Bit k of each byte, in bit 0 of plane ``slot``.  The bits above it are
+    don't-cares: a plane meets other planes only through ^, &, | and ~, and
+    :func:`_ones` counts bit 0 alone."""
+    return np.right_shift(byte, k, out=_slot(slot, byte.size))
+
+
+def _ones(plane: np.ndarray) -> int:
+    """The number of trials whose plane holds 1 in bit 0 (the plane is cleared above it)."""
+    return np.count_nonzero(np.bitwise_and(plane, 1, out=plane))
+
+
+# A 53-bit uniform is one top byte over 45 low bits.
+_BORN_LOW_BITS = 45
+
+
+def _born_split(p: float) -> tuple[int, int]:
+    """(top, low) with top·2⁴⁵ + low = ⌈p·2⁵³⌉, top <= 255 and low <= 2⁴⁵.
+
+    ``rng.random() < p`` holds for exactly the ⌈p·2⁵³⌉ uniforms k·2⁻⁵³ whose
+    (top byte, low 45 bits) lies below (top, low).  p·256, its distance to
+    its integer part, and that times 2⁴⁵ are exact in floating point.
     """
-    u = rng.random(n)
-    hit = np.zeros(n, dtype=bool)
-    for i, prob in enumerate(probs):
-        hit |= (index == i) & (u < prob)
-    return hit
+    scaled = p * 256.0
+    top = min(int(scaled), 255)
+    return top, math.ceil((scaled - top) * 2.0**_BORN_LOW_BITS)
+
+
+def _select(index: np.ndarray, values: list[int], out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values[index]`` per trial, into ``out``: the first value, plus
+    (index == i)·(values[i] − values[0]) in uint8 arithmetic for each value
+    that differs.  A gather or a masked write costs many times more."""
+    np.copyto(out, values[0])
+    step = mask.view(np.uint8)
+    for i, value in enumerate(values[1:], 1):
+        if value != values[0]:
+            np.equal(index, i, out=mask)
+            out += np.multiply(step, (value - values[0]) % 256, out=step)
+    return out
+
+
+def _born(rng: np.random.Generator, n: int, rows, index: np.ndarray | None = None) -> np.ndarray:
+    """Born outcomes of ``n`` trials, from one 53-bit uniform u per trial.
+
+    ``rows`` holds one row of ascending probabilities per value of ``index``
+    (a single row without an index).  The result, a uint8 array in this
+    thread's scratch, counts for each trial the probabilities of its row
+    that u falls below: with a one-probability row that is the outcome
+    u < p, and with cuts p₁ <= p₂ it is 2, 1 or 0 for u below p₁, in
+    [p₁, p₂) or above.  u's top byte comes from :func:`_bytes`, and decides
+    every comparison but a tie with the top byte of the trial's cut
+    (:func:`_born_split`).  Only the tied trials draw u's low 45 bits, one
+    word each in trial order, and none do for a cut whose low part is 0 in
+    every row.  So each comparison holds with probability exactly
+    ⌈p·2⁵³⌉·2⁻⁵³, the law of ``rng.random() < p``.
+    """
+    top = _bytes(rng, n)
+    splits = [[_born_split(p) for p in row] for row in rows]
+    below = _scratch("born-below", np.uint8, n)
+    tie = _scratch("born-tie", np.bool_, n)
+
+    def mask() -> np.ndarray:
+        return _scratch("born-mask", np.bool_, n)
+
+    tied = False
+    for cut in range(len(splits[0])):
+        column = [row[cut] for row in splits]
+        if index is None:
+            cut_top = column[0][0]
+        else:
+            cut_top = _select(index, [t for t, _ in column], _scratch("born-tops", np.uint8, n), mask())
+        if cut == 0:
+            np.less(top, cut_top, out=below.view(np.bool_))
+        else:
+            below += np.less(top, cut_top, out=mask()).view(np.uint8)
+        if any(low for _, low in column):
+            if tied:
+                tie |= np.equal(top, cut_top, out=mask())
+            else:
+                np.equal(top, cut_top, out=tie)
+                tied = True
+    if tied:
+        trials = np.flatnonzero(tie)
+        u = top[trials].astype(np.uint64) << _BORN_LOW_BITS
+        u |= _words(rng, trials.size) >> (64 - _BORN_LOW_BITS)
+        cuts = np.array([[(t << _BORN_LOW_BITS) + low for t, low in row] for row in splits], dtype=np.uint64)
+        own = cuts[0] if index is None else cuts[index[trials]]
+        below[trials] = (u[:, None] < own).sum(axis=1)
+    return below
 
 
 def _kernel_bob_med(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """B's discrimination attack: {H, V} measurement on A's state."""
     y = p["y"]
-    (a_bit,) = _fair_bits(rng, n, 1)  # A's committed bit; her basis plays no part
-    h = _born(rng, n, a_bit, (y, 1.0 - y))  # |⟨H|state⟩|² for each committed bit
+    a_bit = np.bitwise_and(_bytes(rng, n), 1, out=_slot(0, n))  # A's committed bit; her basis plays no part
+    h = _born(rng, n, ((y,), (1.0 - y,)), a_bit)  # |⟨H|state⟩|² for each committed bit
     # B guesses 0 on H; b' = guess ⊕ target lands the coin on target iff the guess is right.
-    return np.count_nonzero(h != a_bit), n
+    return np.count_nonzero(np.bitwise_xor(h, a_bit, out=h)), n
 
 
 def _kernel_alice_individual(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """A's rigged-box attack, sampled through the real verification check."""
-    # B's label (β, b), the box's choice, the announced outcome, b′ and A's free α.
-    beta, b_bit, box_choice, out_minus, b_prime, alpha_free = _fair_bits(rng, n, 6)
+    # Bits of a trial's byte: B's label (β in bit 0, b in bit 1), the box's
+    # choice (2), the announced Ψ⁻ (3), b′ (4) and A's free α (5).
+    fair = _bytes(rng, n)
+    a_bit = _plane(fair, 4, 0)
+    a_bit ^= p["target_coin"]
+    box, g_bit = _plane(fair, 2, 1), _plane(fair, 1, 2)
     if p["med_model"] == "projective":
         # The box measures in a uniform basis; in the wrong one it keeps B's bit
         # with probability (2y − 1)², else flips it.
-        g_basis = box_choice
-        wrong = g_basis ^ beta
-        keep = rng.random(n) < (2.0 * p["y"] - 1.0) ** 2
-        g_bit = b_bit ^ (wrong & ~keep)
+        g_basis, wrong = box, np.bitwise_xor(box, fair, out=_slot(3, n))
+        flip = _born(rng, n, (((2.0 * p["y"] - 1.0) ** 2,),))  # keep
+        np.invert(flip, out=flip)
+        flip &= wrong
+        g_bit ^= flip
     else:  # basis-flip benchmark model: a fair coin flips the basis, never the bit
-        wrong = box_choice
-        g_basis, g_bit = beta ^ wrong, b_bit
+        wrong, g_basis = box, np.bitwise_xor(box, fair, out=_slot(3, n))
 
-    a_bit = b_prime ^ p["target_coin"]
     # A pins α to the guessed basis (flipped on Ψ⁻) when her bit equals the
-    # guessed bit, else keeps her free α; a bitwise select, as np.where is slow.
-    pinned = g_bit == a_bit
-    alpha = alpha_free ^ (pinned & (alpha_free ^ g_basis ^ out_minus))
+    # guessed bit, else keeps her free α: α = α_free ⊕ (pinned & (α_free ⊕ g_basis ⊕ Ψ⁻)).
+    pinned = np.invert(np.bitwise_xor(g_bit, a_bit, out=g_bit), out=g_bit)
+    pin = g_basis
+    pin ^= _plane(fair, 5, 4)
+    pin ^= _plane(fair, 3, 4)
+    pin &= pinned
+    alpha = _plane(fair, 5, 2)
+    alpha ^= pin
     # B catches her on a zero cell: equal bits, and bases equal iff the outcome is Ψ⁻.
-    caught = (b_bit == a_bit) & ((beta ^ alpha) != out_minus)
+    caught = np.bitwise_xor(alpha, fair, out=alpha)
+    caught ^= _plane(fair, 3, 4)  # (β ⊕ α) ≠ Ψ⁻
+    same = _plane(fair, 1, 4)
+    same ^= a_bit
+    caught &= np.invert(same, out=same)  # b == a
 
     condition = p["condition"]
     if condition is None:
-        return n - np.count_nonzero(caught), n
-    mask = wrong == (condition == "wrong")
-    return np.count_nonzero(mask & ~caught), np.count_nonzero(mask)
+        return n - _ones(caught), n
+    mask = wrong if condition == "wrong" else np.invert(wrong, out=wrong)
+    np.invert(caught, out=caught)
+    caught &= mask
+    return _ones(caught), _ones(mask)
 
 
 def _kernel_alice_coherent(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
@@ -387,21 +508,36 @@ def _kernel_alice_coherent(rng: np.random.Generator, n: int, p: dict) -> tuple[i
     """
     sent = p["sent"]
     cond_plus = cheating_table(p["y"]).row(sent, BsmOutcome.PSI_PLUS)
-    beta, b_bit, b_prime = _fair_bits(rng, n, 3)
-    out_minus = ~_born(rng, n, 2 * beta + b_bit, cond_plus)
-    a_bit = b_prime ^ p["target_coin"]
-    alpha = a_bit if sent == "plus" else a_bit ^ 1
-    caught = (b_bit == a_bit) & ((beta ^ alpha) != out_minus)
-    return n - np.count_nonzero(caught), n
+    fair = _bytes(rng, n)  # bits: β (0), b (1), b′ (2)
+    # B's label index is 2β + b; bits 0 and 1 read as β + 2b, so the row is permuted to match.
+    low_bits = np.bitwise_and(fair, 3, out=_slot(0, n))
+    out_minus = _born(rng, n, [(cond_plus[2 * (i & 1) + (i >> 1)],) for i in range(4)], low_bits)
+    np.invert(out_minus, out=out_minus)
+    alpha = _plane(fair, 2, 1)
+    alpha ^= p["target_coin"] ^ (sent == "minus")  # a = b′ ⊕ target; α = a, flipped for |−⟩
+    # Caught: b == a (that is, b == α exactly for |+⟩) and (β ⊕ α) ≠ Ψ⁻.
+    b_bit = _plane(fair, 1, 2)
+    same = np.bitwise_xor(b_bit, alpha, out=b_bit)
+    if sent == "plus":
+        np.invert(same, out=same)
+    caught = np.bitwise_xor(alpha, fair, out=alpha)
+    caught ^= out_minus
+    caught &= same
+    return n - _ones(caught), n
 
 
 def _kernel_alice_blinding(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
     """Detector-control attack on the baseline flow; counts per ``count`` key."""
-    bob_basis, recorded, b_prime = _fair_bits(rng, n, 3)
-    a_bit = b_prime ^ p["target_coin"]
-    alpha = bob_basis ^ recorded ^ a_bit  # B's basis when the recorded bit is hers
-    caught = (bob_basis == alpha) & (recorded != a_bit)
-    aborted = np.count_nonzero(caught)
+    fair = _bytes(rng, n)  # bits: B's basis (0), the recorded bit (1), b′ (2)
+    a_bit = _plane(fair, 2, 0)
+    a_bit ^= p["target_coin"]
+    recorded = _plane(fair, 1, 1)
+    alpha = np.bitwise_xor(recorded, a_bit, out=_slot(2, n))
+    alpha ^= fair  # B's basis when the recorded bit is hers
+    recorded ^= a_bit  # recorded ≠ a
+    caught = np.invert(np.bitwise_xor(alpha, fair, out=alpha), out=alpha)  # B's basis == α
+    caught &= recorded
+    aborted = _ones(caught)
     return (aborted if p["count"] == "abort" else n - aborted), n
 
 
@@ -410,11 +546,10 @@ def _kernel_table_cell(rng: np.random.Generator, n: int, p: dict) -> tuple[int, 
     p_plus, p_minus = _label_tables(p["y"])
     pair = 4 * p["index_a"] + p["index_b"]
     pp, pm = float(p_plus[pair]), float(p_minus[pair])
-    u = rng.random(n)
-    got_plus = u < pp
-    got_minus = (u >= pp) & (u < pp + pm)
-    num = got_plus if p["outcome"] == "psi-plus" else got_minus
-    return int(num.sum()), int((got_plus | got_minus).sum())
+    below = _born(rng, n, ((pp, pp + pm),))  # 2: Ψ⁺, 1: Ψ⁻, 0: failure
+    successes = np.count_nonzero(below)
+    plus = np.count_nonzero(np.right_shift(below, 1, out=below))
+    return (plus if p["outcome"] == "psi-plus" else successes - plus), successes
 
 
 def _kernel_cheating_cell(rng: np.random.Generator, n: int, p: dict) -> tuple[int, int]:
@@ -423,9 +558,8 @@ def _kernel_cheating_cell(rng: np.random.Generator, n: int, p: dict) -> tuple[in
     cond_plus = table.probability(
         p["sent"], BsmOutcome.PSI_PLUS, ALL_LABELS[p["index_b"]]
     )
-    got_plus = rng.random(n) < cond_plus
-    num = got_plus if p["outcome"] == "psi-plus" else ~got_plus
-    return int(num.sum()), n
+    plus = np.count_nonzero(_born(rng, n, ((cond_plus,),)))
+    return (plus if p["outcome"] == "psi-plus" else n - plus), n
 
 
 REQUIRED = object()  # the default of a keyword the caller must give
@@ -555,23 +689,27 @@ def estimate(scenario: str, *, trials: int, seed: int, workers: int = 1, **param
     validate_int("seed", seed, 0)
     checked = _scenario_params(scenario, params)
 
-    sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
-    if trials % CHUNK_SIZE:
-        sizes.append(trials % CHUNK_SIZE)
+    def run_chunks(first: int, stop: int) -> tuple[int, int]:
+        num = den = 0
+        for index in range(first, stop):
+            size = min(CHUNK_SIZE, trials - index * CHUNK_SIZE)
+            hits, count = spec.kernel(_chunk_rng(seed, index), size, checked)
+            num, den = num + int(hits), den + int(count)  # kernels may count with numpy integers
+        return num, den
 
-    def run_chunk(index_size: tuple[int, int]) -> tuple[int, int]:
-        index, size = index_size
-        return spec.kernel(_chunk_rng(seed, index), size, checked)
-
-    tasks = list(enumerate(sizes))
-    if workers == 1 or len(tasks) == 1:
-        results = [run_chunk(t) for t in tasks]
+    # Each worker runs one contiguous range of chunks; the calling thread runs the first.
+    chunks = -(-trials // CHUNK_SIZE)
+    parts = min(workers, chunks)
+    bounds = [chunks * part // parts for part in range(parts + 1)]
+    if parts == 1:
+        results = [run_chunks(0, chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, tasks))
+        with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+            rest = [pool.submit(run_chunks, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            results = [run_chunks(bounds[0], bounds[1]), *(task.result() for task in rest)]
 
-    num = sum(int(r[0]) for r in results)  # kernels may count with numpy integers
-    den = sum(int(r[1]) for r in results)
+    num = sum(r[0] for r in results)
+    den = sum(r[1] for r in results)
     if den == 0:
         return Estimate(mean=float("nan"), stderr=float("nan"), trials=0, seed=seed)
     mean = num / den

@@ -62,8 +62,14 @@ OPTIONS = {
     "format": ("json", {}),  # each command lists its own formats
 }
 
-# Options that only one run mode reads; giving one in another mode is a usage error.
-MODE_OPTIONS = {"k_pulses": "mdi-weak-coherent", "mu": "mdi-weak-coherent"}
+# Options that only one value of another option reads, as (that option, its
+# value); giving one with any other value is a usage error.
+SCOPED_OPTIONS = {
+    "k_pulses": ("mode", "mdi-weak-coherent"),
+    "mu": ("mode", "mdi-weak-coherent"),
+    "med_model": ("adversary", "alice-individual"),
+    "sent": ("adversary", "alice-coherent"),
+}
 
 # Pulse slots per weak-coherent batch of a run stream: a batch holds
 # max(1, RUN_BATCH_SLOTS // K) runs, so its memory is bounded by K alone.
@@ -176,10 +182,11 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if opts.get("seed", 0) < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {opts['seed']}")
     for key in given:
-        mode = MODE_OPTIONS.get(key)
-        if mode is not None and opts["mode"] != mode:
+        scope = SCOPED_OPTIONS.get(key)
+        if scope is not None and opts[scope[0]] != scope[1]:
+            owner, value = scope
             flag = "--" + key.replace("_", "-")
-            raise ParameterError(f"{key} ({flag}) only applies to mode {mode}, got mode {opts['mode']}")
+            raise ParameterError(f"{key} ({flag}) only applies to {owner} {value}, got {owner} {opts[owner]}")
     return opts
 
 

@@ -29,11 +29,14 @@ honest MDI run therefore draws its deciding (label pair, band) cell and then
 its round count; the honest baseline likewise draws its round count from
 Geometric(t_a·η) and its labels and measurement once.  The estimator reads
 the round count only as ``rounds <= max_rounds``, so
-:func:`sample_run_codes` draws a whole run as one 64-bit word: a categorical
+:func:`sample_run_codes` draws a whole run as one uniform: a categorical
 over the 96 deciding cells, each weighted by P(found), and one cell for the
-run that finds no success within ``max_rounds``.  A run capped at one round
-is one physical round, so the per-round estimates draw the same table with
-``max_rounds`` 1.  Every flow draws from the caller's generator alone.
+run that finds no success within ``max_rounds``.  It reads a 16-bit prefix
+of that uniform per run, four to a 64-bit word, and completes the uniform
+from one more word only for a run whose guide bucket a cell boundary cuts.
+A run capped at one round is one physical round, so the per-round estimates
+draw the same table with ``max_rounds`` 1.  Every flow draws from the
+caller's generator alone.
 
 A rigged box (role ``BLACKBOX``) receives only B's quantum state and emits
 only an outcome: B's classical label never flows into it.  Strategies
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -300,18 +304,15 @@ def _label_tables(y: float) -> tuple[np.ndarray, np.ndarray]:
 # Buckets of the guide table.  A power of two, so u·M and c·M are exact and
 # each bucket [b/M, (b+1)/M) has exact bounds.
 GUIDE_BUCKETS = 1 << 12
-# Below this many runs a binary search costs less than the guide lookup's
-# fixed overhead of about 5 µs: one uniform searches in ~1 µs, and the two
-# break even between 384 and 640 uniforms (timeit, 2-vCPU x86-64 host).
-# One-run calls such as run_honest take the search.
-GUIDE_MIN_BATCH = 512
 
-# Honest runs are drawn in blocks of at most BLOCK_WORDS 64-bit words
-# (128 KiB).  ``rng.random`` of a word w is (w >> 11)·2⁻⁵³, so the guide
-# bucket of its uniform is w >> 52.
-BLOCK_WORDS = 1 << 14
-_UNIFORM_SHIFT = 11  # a uniform keeps the top 53 bits of its word
-_BUCKET_SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)
+# Honest runs are drawn in blocks of at most RUN_BLOCK runs.  A run reads a
+# 16-bit prefix, four to a 64-bit word; the prefix is the top of the run's
+# 53-bit uniform, so its guide bucket is prefix >> 4.  Only a run in a cut
+# bucket completes its uniform, with the top 37 bits of one more word.
+RUN_BLOCK = 1 << 16
+_PREFIX_BITS = 16
+_BUCKET_SHIFT = _PREFIX_BITS - (GUIDE_BUCKETS.bit_length() - 1)
+_LOW_BITS = 53 - _PREFIX_BITS
 _WORD_MAX = (1 << 64) - 1
 # The bits of a run code (see sample_run_codes): A's bit, the abort and the
 # not-found flag, then the deciding band's cause code (devices.CAUSE_*) in the
@@ -387,14 +388,25 @@ def _run_table(
     return p_round, cumulative, by_bucket
 
 
-def _blocks(n: int, size: int = BLOCK_WORDS) -> list[slice]:
-    """Consecutive slices of at most ``size`` items that cover range(n)."""
-    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+_SCRATCH = threading.local()
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """``rng.random`` of these 64-bit words, exactly: (w >> 11)·2⁻⁵³."""
-    return (words >> _UNIFORM_SHIFT) * 2.0**-53
+def _scratch(name: str, dtype, n: int) -> np.ndarray:
+    """The first ``n`` items of this thread's buffer ``name``, which later
+    calls in the same thread reuse: the estimator's kernels write their
+    per-chunk arrays there through ``out=`` instead of allocating them."""
+    buffers = vars(_SCRATCH)
+    buffer = buffers.get(name)
+    if buffer is None or buffer.size < n:
+        buffer = buffers[name] = np.empty(n, dtype)
+    return buffer[:n]
+
+
+def _words(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` full-range 64-bit words, from any bit generator.  On a fresh PCG64
+    generator their bytes are those of ``rng.integers(0, 256, size=8 * n,
+    dtype=np.uint8)``."""
+    return rng.integers(0, _WORD_MAX, size=n, dtype=np.uint64, endpoint=True)
 
 
 def sample_run_codes(
@@ -405,8 +417,9 @@ def sample_run_codes(
     max_rounds: int,
     rng: np.random.Generator,
     n: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The uint8 run codes of ``n`` independent honest MDI runs, one 64-bit word each.
+    """The uint8 run codes of ``n`` independent honest MDI runs, in ``out`` if given.
 
     Rounds are i.i.d., so whether a run succeeds within ``max_rounds``
     rounds does not depend on its deciding round, and a run is one draw
@@ -415,23 +428,31 @@ def sample_run_codes(
     whether the run finds no success (``RUN_NOT_FOUND``) and the event cause
     of its deciding round (``code >> RUN_CAUSE_SHIFT``, 0 for a run with no
     success), which is all the estimator reads of a run.  With ``max_rounds``
-    1 a run is one physical round, and its code that round's.  From
-    ``GUIDE_MIN_BATCH`` runs on the words come from ``rng.integers`` in
-    blocks of ``BLOCK_WORDS``; each gives the code of its guide bucket,
-    w >> 52, and the words of a cut bucket are binary-searched.  Fewer runs
-    are binary-searched outright from ``rng.random(n)``, which reads the same
-    words, so the batch size moves no draw.
+    1 a run is one physical round, and its code that round's.
+
+    Runs are drawn in blocks of ``RUN_BLOCK``.  A block first reads one
+    16-bit prefix per run, four to a word (little-endian): the top 16 bits of
+    the run's 53-bit uniform u, whose guide bucket is prefix >> 4.  Each run
+    in a bucket that a cumulative weight cuts then reads one more word, in
+    run order, whose top 37 bits complete u, and u is binary-searched.  So
+    the cell of every run follows exactly the law of
+    ``cumulative.searchsorted(rng.random(), side="right")``, from about 16
+    bits per run.
     """
     _, cumulative, by_bucket = _run_table(y, channel, detector, extended, max_rounds)
-    if n < GUIDE_MIN_BATCH:
-        return _RUN_CODES[cumulative.searchsorted(rng.random(n), side="right")]
-    codes = np.empty(n, np.uint8)
-    for block in _blocks(n):
-        out = codes[block]
-        words = rng.integers(0, _WORD_MAX, size=out.size, dtype=np.uint64, endpoint=True)
-        out[:] = by_bucket[(words >> _BUCKET_SHIFT).view(np.intp)]
-        unsure = np.flatnonzero(out >= _UNSURE)
-        out[unsure] = _RUN_CODES[cumulative.searchsorted(_uniforms(words[unsure]), side="right")]
+    codes = np.empty(n, np.uint8) if out is None else out
+    index = _scratch("run-index", np.intp, min(n, RUN_BLOCK))
+    cut = _scratch("run-cut", np.bool_, min(n, RUN_BLOCK))
+    for start in range(0, n, RUN_BLOCK):
+        block = codes[start:start + RUN_BLOCK]
+        m = block.size
+        prefix = _words(rng, -(-m // 4)).view(np.uint16)[:m]
+        np.right_shift(prefix, _BUCKET_SHIFT, out=index[:m])
+        np.take(by_bucket, index[:m], out=block, mode="clip")  # clip: out is written unbuffered
+        unsure = np.flatnonzero(np.greater_equal(block, _UNSURE, out=cut[:m]))
+        low = _words(rng, unsure.size) >> (64 - _LOW_BITS)
+        u = ((prefix[unsure].astype(np.uint64) << _LOW_BITS) | low) * 2.0**-53
+        block[unsure] = _RUN_CODES[cumulative.searchsorted(u, side="right")]
     return codes
 
 
@@ -533,7 +554,7 @@ def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator) -> Transcrip
         if p_round <= 0.0:
             raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
         # The deciding cell, then the round count: a binary search of one
-        # uniform, as sample_run_codes searches below GUIDE_MIN_BATCH runs.
+        # uniform, the law that sample_run_codes draws from fewer bits.
         pair, band = divmod(int(cumulative.searchsorted(rng.random(), side="right")), 6)
         rounds = int(rng.geometric(p_round))
         alice, bob, sample = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3], devices.BAND_SAMPLES[band]

@@ -217,6 +217,17 @@ class TestFairPoint:
         with pytest.raises(ParameterError):
             solve_fair_y(0.0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.5, 1.0, -1.0])
+    def test_tolerance_without_a_bisection_step_is_refused(self, tolerance):
+        """NaN fails every comparison and 0.5 is the bracket's width: the midpoint came back."""
+        with pytest.raises(ParameterError, match="tolerance"):
+            solve_fair_y(tolerance)
+
+    def test_widest_accepted_tolerance_bisects(self):
+        point = solve_fair_y(0.25)
+        assert abs(cheat_alice_coherent(point.y) - point.y) < 0.25
+        assert point.y != 0.75
+
 
 class TestChiSquare:
     def test_balanced_counts_pass(self):

@@ -75,6 +75,15 @@ class TestFair:
         assert float(row.split(",")[0]) == pytest.approx(0.9, abs=1e-9)
 
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0.5"])
+    def test_tolerance_the_bisection_cannot_use_is_refused(self, capsys, tolerance):
+        """Each once printed y = 0.75, the bracket's midpoint, as the fair point (NaN and
+        Infinity in the JSON), because the bisection never ran."""
+        code, out, err = run_cli(capsys, "fair", "--tolerance", tolerance)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "tolerance" in err
+
+
 class TestSweep:
     def test_default_grid_schema(self, capsys):
         code, out, _ = run_cli(capsys, "sweep")
@@ -226,6 +235,36 @@ class TestAttack:
         assert doc["med_model"] == "projective"
         assert doc["mean"] == pytest.approx(0.795, abs=0.01)
         assert doc["closed_form"] == pytest.approx(0.795, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "adversary, flag, value",
+        [
+            ("alice-individual", "sent", "minus"),
+            ("bob-med", "sent", "plus"),
+            ("alice-coherent", "med_model", "projective"),
+            ("none", "med_model", "basis-flip"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_option_the_adversary_does_not_take_is_refused(self, capsys, tmp_path, adversary, flag, value, source):
+        """``--sent`` and ``--med-model`` were once dropped without a word."""
+        argv = ["attack", "--adversary", adversary, "--trials", "1000"]
+        if source == "flag":
+            argv += ["--" + flag.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: value}))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+    def test_default_variant_options_stay_silent(self, capsys):
+        code, out, _ = run_cli(capsys, "attack", "--adversary", "bob-med", "--trials", "1000", "--target-coin", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["med_model"], doc["sent"]) == (None, None)
 
 
 class TestConfigAndEnvironment:

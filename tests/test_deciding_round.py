@@ -1,13 +1,15 @@
 """Honest runs drawn from the deciding round: one run table for `run` and `estimate`.
 
 An honest MDI run is one draw of the deciding (label pair, band) cell plus a
-Geometric(p_round) round count; the estimator draws a whole run as one word
-over the 96 deciding cells, weighted by P(found), and a "not found" cell.
-The honest baseline is a Geometric(t_a·η) resend count plus one measurement.
-These tests pin the transcript fields to that table, the table's masses to
-their closed forms (capped at one round, the per-round law), its guide
-lookup to a binary search, and the ``rounds`` field to its closed-form
-distribution.
+Geometric(p_round) round count; the estimator draws a whole run as one
+uniform over the 96 deciding cells, weighted by P(found), and a "not found"
+cell, from a 16-bit prefix per run that only a run in a cut guide bucket
+completes.  The honest baseline is a Geometric(t_a·η) resend count plus one
+measurement.  These tests pin the transcript fields to that table, the
+table's masses to their closed forms (capped at one round, the per-round
+law), its guide lookup to a binary search of the completed uniforms, the
+estimates to a test-local implementation of that law, and the ``rounds``
+field to its closed-form distribution.
 """
 import math
 from decimal import Decimal, localcontext
@@ -37,10 +39,10 @@ from mdiqct.devices import (
 )
 from mdiqct.errors import ExhaustionError
 from mdiqct.protocol import (
-    BLOCK_WORDS,
     GUIDE_BUCKETS,
-    GUIDE_MIN_BATCH,
+    RUN_A_BIT,
     RUN_ABORT,
+    RUN_BLOCK,
     RUN_CAUSE_SHIFT,
     RUN_NOT_FOUND,
     Mode,
@@ -181,78 +183,121 @@ def cell_codes(y: float) -> np.ndarray:
     return np.array([*codes, RUN_NOT_FOUND], dtype=np.uint8)
 
 
-def searched_codes(cumulative: np.ndarray, words: np.ndarray, y: float) -> np.ndarray:
-    """The codes of a binary search of each word's uniform (w >> 11)·2⁻⁵³."""
-    return cell_codes(y)[np.searchsorted(cumulative, (words >> 11) * 2.0**-53, side="right")]
+WORD_MAX = 2**64 - 1
+LOW_BITS = 37  # a run's 53-bit uniform: its 16-bit prefix over 37 low bits
+
+
+def cut_buckets(cumulative: np.ndarray) -> np.ndarray:
+    """Whether a cumulative weight c lies strictly inside each guide bucket,
+    b < c·GUIDE_BUCKETS < b + 1 (c·GUIDE_BUCKETS is exact)."""
+    cut = np.zeros(GUIDE_BUCKETS, dtype=bool)
+    for c in cumulative.tolist():
+        scaled = c * GUIDE_BUCKETS
+        if scaled != math.floor(scaled) and scaled < GUIDE_BUCKETS:
+            cut[math.floor(scaled)] = True
+    return cut
+
+
+def searched_codes(cumulative: np.ndarray, uniforms: np.ndarray, y: float) -> np.ndarray:
+    """The codes of a binary search of each 53-bit uniform k, read as k·2⁻⁵³."""
+    return cell_codes(y)[np.searchsorted(cumulative, uniforms * 2.0**-53, side="right")]
+
+
+def reference_block(cumulative: np.ndarray, y: float, rng, m: int) -> np.ndarray:
+    """The codes of one block of m runs by the prefix-and-complete law: ⌈m/4⌉
+    words give one 16-bit prefix per run, four to a word, low half-word first;
+    then each run in a cut bucket (prefix >> 4) reads one more word, in run
+    order, whose top 37 bits are the low bits of its uniform.  Every uniform
+    is binary-searched; the other runs keep low bits 0, as their bucket has
+    one cell."""
+    words = rng.integers(0, WORD_MAX, size=-(-m // 4), dtype=np.uint64, endpoint=True)
+    prefix = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64) & 0xFFFF).ravel()[:m]
+    low = np.zeros(m, dtype=np.uint64)
+    unsure = cut_buckets(cumulative)[(prefix >> 4).astype(np.intp)]
+    low[unsure] = rng.integers(0, WORD_MAX, size=int(unsure.sum()), dtype=np.uint64, endpoint=True) >> (64 - LOW_BITS)
+    return searched_codes(cumulative, prefix << LOW_BITS | low, y)
+
+
+def reference_codes(cumulative: np.ndarray, y: float, rng, n: int) -> np.ndarray:
+    """n runs, drawn in blocks of RUN_BLOCK."""
+    blocks = [reference_block(cumulative, y, rng, min(RUN_BLOCK, n - start)) for start in range(0, n, RUN_BLOCK)]
+    return np.concatenate(blocks)
 
 
 class ChosenWords:
-    """A generator stand-in whose 64-bit words are ``words``, in order:
-    ``integers`` over the whole uint64 range returns them, ``random`` their uniforms."""
+    """A generator stand-in whose 64-bit words are ``words``, in order, from
+    ``integers`` over the whole uint64 range."""
 
     def __init__(self, words: np.ndarray) -> None:
         self.words, self.used = words, 0
 
-    def take(self, n: int) -> np.ndarray:
-        self.used += n
-        return self.words[self.used - n:self.used]
-
     def integers(self, low, high, size, dtype, endpoint):
-        assert (low, high, dtype, endpoint) == (0, 2**64 - 1, np.uint64, True)
-        return self.take(size)
-
-    def random(self, n: int) -> np.ndarray:
-        return (self.take(n) >> 11) * 2.0**-53
+        assert (low, high, dtype, endpoint) == (0, WORD_MAX, np.uint64, True)
+        self.used += size
+        return self.words[self.used - size:self.used]
 
 
-def edge_words(cumulative: np.ndarray, seed: int) -> np.ndarray:
-    """The first and last word, each bucket's first word and the word below it,
-    at each cumulative weight c the first word whose uniform reaches c, the
-    word below it and the last word with its uniform, then random words."""
-    words = [0, 2**64 - 1]
-    for b in range(GUIDE_BUCKETS):
-        start = b << 52
-        words += [start, start - 1] if b else [start]
-    for c in cumulative[(cumulative > 0.0) & (cumulative < 1.0)]:
-        first = math.ceil(c * 2.0**53) << 11  # c·2⁵³ is exact
-        words += [first, first - 1, first | 0x7FF]
-    chosen = np.array(words, dtype=np.uint64)
-    drawn = np.random.default_rng(seed).integers(0, 2**64 - 1, size=4 * GUIDE_BUCKETS, dtype=np.uint64, endpoint=True)
-    return np.concatenate([chosen, drawn])
+def edge_uniforms(cumulative: np.ndarray, seed: int) -> np.ndarray:
+    """53-bit uniforms: the first and last, each bucket's first and the one
+    below it, at each cumulative weight c the first uniform that reaches c,
+    the one below it and the last with the same prefix, then a block of
+    random ones."""
+    uniforms = [0, 2**53 - 1]
+    for b in range(1, GUIDE_BUCKETS):
+        uniforms += [b << 41, (b << 41) - 1]
+    for c in cumulative[(cumulative > 0.0) & (cumulative < 1.0)].tolist():
+        first = math.ceil(c * 2.0**53)  # c·2⁵³ is exact
+        uniforms += [first, first - 1, first | (1 << LOW_BITS) - 1]
+    drawn = np.random.default_rng(seed).integers(0, 2**53, size=RUN_BLOCK, dtype=np.uint64)
+    return np.concatenate([np.array(uniforms, dtype=np.uint64), drawn])
+
+
+def words_for(cumulative: np.ndarray, uniforms: np.ndarray, seed: int) -> np.ndarray:
+    """The words that make the prefix-and-complete law read ``uniforms``:
+    per block, the prefixes packed four to a word, then a word per run in a
+    cut bucket carrying its low bits, with random bits below them."""
+    cut, junk = cut_buckets(cumulative), np.random.default_rng(seed + 1)
+    words = []
+    for start in range(0, uniforms.size, RUN_BLOCK):
+        block = uniforms[start:start + RUN_BLOCK]
+        prefix = np.zeros(-(-block.size // 4) * 4, dtype=np.uint16)
+        prefix[:block.size] = block >> LOW_BITS
+        low = block[cut[(block >> (LOW_BITS + 4)).astype(np.intp)]] & (1 << LOW_BITS) - 1
+        filler = junk.integers(0, 1 << (64 - LOW_BITS), size=low.size, dtype=np.uint64)
+        words += [prefix.view(np.uint64), low << (64 - LOW_BITS) | filler]
+    return np.concatenate(words)
 
 
 class TestGuideTable:
-    """The run codes drawn through the guide table are a binary search's, bit for bit."""
+    """The run codes drawn through the guide table are a binary search's of
+    the prefix-and-complete uniforms, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(table=run_tables(), seed=st.integers(0, 2**32 - 1))
     def test_lookup_equals_searchsorted(self, table, seed):
         _, cumulative, _ = _run_table(*table)
-        words = edge_words(cumulative, seed)
-        assert words.size > BLOCK_WORDS  # the lookup runs over more than one block
-        expected = searched_codes(cumulative, words, table[0])
+        uniforms = edge_uniforms(cumulative, seed)
+        assert uniforms.size > RUN_BLOCK  # the lookup runs over more than one block
+        words = words_for(cumulative, uniforms, seed)
         looked_up = ChosenWords(words)
-        np.testing.assert_array_equal(sample_run_codes(*table, looked_up, words.size), expected)
+        codes = sample_run_codes(*table, looked_up, uniforms.size)
+        np.testing.assert_array_equal(codes, searched_codes(cumulative, uniforms, table[0]))
         assert looked_up.used == words.size
-        for start in range(0, words.size, GUIDE_MIN_BATCH - 1):  # below GUIDE_MIN_BATCH: searched outright
-            part = words[start:start + GUIDE_MIN_BATCH - 1]
-            searched = sample_run_codes(*table, ChosenWords(part), part.size)
-            np.testing.assert_array_equal(searched, expected[start:start + part.size])
 
-    @pytest.mark.parametrize("n", [1, GUIDE_MIN_BATCH - 1, GUIDE_MIN_BATCH, 3 * GUIDE_MIN_BATCH])
+    @pytest.mark.parametrize("n", [1, 511, 512, 1536, RUN_BLOCK + 5])
     def test_batch_size_picks_no_other_cells(self, n):
-        """Small batches are searched outright, larger ones looked up: one word stream either way."""
+        """Any batch size reads the same law: ⌈m/4⌉ prefix words per block of m runs,
+        then a word per run in a cut bucket."""
         config = LOSSY_DARK
         args = (config.y, config.channel, config.detector, config.extended_dark_model, 30)
         _, cumulative, _ = _run_table(*args)
         codes = sample_run_codes(*args, np.random.default_rng(n), n)
-        words = np.random.default_rng(n).integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
-        np.testing.assert_array_equal(codes, searched_codes(cumulative, words, config.y))
-        uniforms = np.random.default_rng(n).random(n)  # random(n) reads the same words
-        np.testing.assert_array_equal(codes, cell_codes(config.y)[np.searchsorted(cumulative, uniforms, side="right")])
+        np.testing.assert_array_equal(codes, reference_codes(cumulative, config.y, np.random.default_rng(n), n))
 
-    @pytest.mark.parametrize("n", [1, 3 * GUIDE_MIN_BATCH])
+    @pytest.mark.parametrize("n", [1, 1536])
     def test_any_bit_generator_is_read_through_its_words(self, n):
+        """The words come from ``rng.integers``, which gives full 64-bit words
+        on MT19937 too (its ``random_raw`` gives 32-bit ones)."""
         config = LOSSY_DARK
         args = (config.y, config.channel, config.detector, config.extended_dark_model, 30)
         _, cumulative, _ = _run_table(*args)
@@ -261,12 +306,7 @@ class TestGuideTable:
             return np.random.Generator(np.random.MT19937(n))
 
         codes = sample_run_codes(*args, mt19937(), n)
-        if n >= GUIDE_MIN_BATCH:
-            words = mt19937().integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
-            np.testing.assert_array_equal(codes, searched_codes(cumulative, words, config.y))
-        else:
-            cells = np.searchsorted(cumulative, mt19937().random(n), side="right")
-            np.testing.assert_array_equal(codes, cell_codes(config.y)[cells])
+        np.testing.assert_array_equal(codes, reference_codes(cumulative, config.y, mt19937(), n))
 
 
 def not_found_probability(p_round: float, max_rounds) -> float:
@@ -343,39 +383,78 @@ class TestRunTable:
         assert not_found == pytest.approx(1.0 - success, rel=0.0, abs=1e-12)
 
 
+def reference_estimate(scenario: str, trials: int, seed: int, **params) -> tuple[float, int]:
+    """(mean, trials) of an honest scenario by the prefix-and-complete law, in
+    chunks of CHUNK_SIZE trials seeded by SeedSequence(seed, spawn_key=(chunk,)):
+    each block of runs, then for ``honest-coin`` b′ of each run of the block,
+    one bit each from ⌈m/64⌉ words, low bit of each byte first."""
+    config = RunConfig(**{key: params[key] for key in ("channel", "detector") if key in params})
+    extended = params.get("extended", False)
+    max_rounds = params.get("max_rounds", config.max_rounds)
+    _, cumulative, _ = _run_table(config.y, config.channel, config.detector, extended, max_rounds)
+    num = den = 0
+    for chunk in range(-(-trials // CHUNK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+        size = min(CHUNK_SIZE, trials - chunk * CHUNK_SIZE)
+        for start in range(0, size, RUN_BLOCK):
+            m = min(RUN_BLOCK, size - start)
+            codes = reference_block(cumulative, config.y, rng, m)
+            if scenario == "honest-run-abort":
+                num, den = num + np.count_nonzero(codes & RUN_ABORT), den + m
+            else:
+                words = rng.integers(0, WORD_MAX, size=-(-m // 64), dtype=np.uint64, endpoint=True)
+                b_prime = (words[:, None] >> np.arange(64, dtype=np.uint64) & 1).ravel()[:m]
+                accepted = (codes & (RUN_ABORT | RUN_NOT_FOUND)) == 0
+                num += np.count_nonzero(accepted & ((codes & RUN_A_BIT) == b_prime))
+                den += np.count_nonzero(accepted)
+    return num / den, den
+
+
+LOSSY = dict(channel=LOSSY_DARK.channel, detector=LOSSY_DARK.detector)
+FAR = dict(channel=ChannelParams(40.0, 40.0), detector=DetectorParams(eta=0.1, dark=1e-4))
+# (scenario, seed, params, mean, trials) of 300,017 trials, frozen from reference_estimate.
+PINNED = {
+    "lossy": ("honest-run-abort", 0, LOSSY, 0.056283477269621386, 300_017),
+    "coin": ("honest-coin", 1, LOSSY, 0.49999293590748867, 283_122),
+    "extended": ("honest-coin", 0, dict(LOSSY, extended=True), 0.5006964344009576, 275_690),
+    "max-rounds-30": ("honest-run-abort", 2, dict(FAR, max_rounds=30), 3.99977334617705e-05, 300_017),
+    "eta-0": (
+        "honest-run-abort", 0,
+        dict(channel=ChannelParams(5.0, 5.0), detector=DetectorParams(eta=0.0, dark=1e-3)),
+        0.24645936730251952, 300_017,
+    ),
+}
+# (scenario, seed, mean) on default (ideal) devices, at 3·CHUNK_SIZE + 17 trials.
+IDEAL = {"coin": ("honest-coin", 0, 0.4988524367123615), "run-abort": ("honest-run-abort", 1, 0.0)}
+IDEAL_TRIALS = 3 * CHUNK_SIZE + 17
+
+
 class TestPinnedHonestEstimates:
-    """Honest estimates frozen from a binary search of each run's word alone
-    (every chunk below ``GUIDE_MIN_BATCH``): the guide table changes no draw."""
+    """Honest estimates frozen from ``reference_estimate``, a test-local
+    implementation of the prefix-and-complete law: the seed→output mapping
+    of the honest scenarios moves only with a deliberate change of draws."""
 
-    LOSSY = dict(channel=LOSSY_DARK.channel, detector=LOSSY_DARK.detector)
-    FAR = dict(channel=ChannelParams(40.0, 40.0), detector=DetectorParams(eta=0.1, dark=1e-4))
-
-    @pytest.mark.parametrize(
-        "scenario, seed, params, mean, trials",
-        [
-            ("honest-run-abort", 0, LOSSY, 0.056436801914558174, 300_017),
-            ("honest-coin", 1, LOSSY, 0.5002490206952093, 283_109),
-            ("honest-coin", 0, dict(LOSSY, extended=True), 0.4992579691213556, 275_595),
-            ("honest-run-abort", 2, dict(FAR, max_rounds=30), 1.6665722275737707e-05, 300_017),
-            (
-                "honest-run-abort", 0,
-                dict(channel=ChannelParams(5.0, 5.0), detector=DetectorParams(eta=0.0, dark=1e-3)),
-                0.24562941433318777, 300_017,
-            ),
-        ],
-        ids=["lossy", "coin", "extended", "max-rounds-30", "eta-0"],
-    )
-    def test_estimate_is_unchanged(self, scenario, seed, params, mean, trials):
+    @pytest.mark.parametrize("case", PINNED)
+    def test_estimate_is_unchanged(self, case):
+        scenario, seed, params, mean, trials = PINNED[case]
         est = estimate(scenario, trials=300_017, seed=seed, **params)
         assert (est.mean, est.trials) == (mean, trials)
 
-    @pytest.mark.parametrize(
-        "scenario, seed, mean",
-        [("honest-coin", 0, 0.49950413223140494), ("honest-run-abort", 1, 0.0)],
-        ids=["coin", "run-abort"],
-    )
-    def test_ideal_devices_are_unchanged(self, scenario, seed, mean):
+    @pytest.mark.parametrize("case", IDEAL)
+    def test_ideal_devices_are_unchanged(self, case):
         """Default (ideal) devices, the configuration of ``attack --adversary none``."""
-        trials = 3 * CHUNK_SIZE + 17
-        est = estimate(scenario, trials=trials, seed=seed)
-        assert (est.mean, est.trials) == (mean, trials)
+        scenario, seed, mean = IDEAL[case]
+        est = estimate(scenario, trials=IDEAL_TRIALS, seed=seed)
+        assert (est.mean, est.trials) == (mean, IDEAL_TRIALS)
+
+    @pytest.mark.parametrize("case", [*PINNED, *(f"ideal-{case}" for case in IDEAL)])
+    def test_pins_follow_the_reference_law(self, case):
+        if case.startswith("ideal-"):
+            scenario, seed, mean = IDEAL[case.removeprefix("ideal-")]
+            params, trials, pinned = {}, IDEAL_TRIALS, (mean, None)
+        else:
+            scenario, seed, params, mean, count = PINNED[case]
+            trials, pinned = 300_017, (mean, count)
+        reference = reference_estimate(scenario, trials, seed, **params)
+        assert reference[0] == pinned[0]
+        assert pinned[1] in (None, reference[1])

@@ -137,9 +137,16 @@ def test_sampled_mean_within_4_sigma_of_closed_form(point):
     assert abs(est.mean - expected) <= 4.0 * sigma, (scenario, params, est)
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_worker_count_leaves_every_scenario_bit_identical(scenario):
-    trials = 3 * CHUNK_SIZE + 17
+# Three chunks and a partial one; and seven and a partial one, which gives
+# each of three workers more than one chunk of its contiguous range.
+WORKER_CASES = [
+    *(pytest.param(scenario, 3 * CHUNK_SIZE + 17, id=scenario) for scenario in sorted(SCENARIOS)),
+    *(pytest.param(scenario, 7 * CHUNK_SIZE + 17, id=f"{scenario}-8-chunks") for scenario in sorted(SCENARIOS)),
+]
+
+
+@pytest.mark.parametrize("scenario, trials", WORKER_CASES)
+def test_worker_count_leaves_every_scenario_bit_identical(scenario, trials):
     one, two, three = (
         estimate(scenario, trials=trials, seed=5, workers=workers, **required(scenario)) for workers in (1, 2, 3)
     )
