@@ -10,7 +10,6 @@ bookkeeping on the transcripts.
 import numpy as np
 
 from mdiqct import ChannelParams, DetectorParams, Mode, RunConfig, run_weak_coherent
-from mdiqct.devices import weak_coherent_source
 from mdiqct.protocol import Verdict
 
 
@@ -19,8 +18,7 @@ def config(k: int, mu: float) -> RunConfig:
         y=0.9,
         channel=ChannelParams(5.0, 5.0),
         detector=DetectorParams(eta=0.8, dark=0.0),
-        source_a=weak_coherent_source(mu),
-        source_b=weak_coherent_source(mu),
+        mu=mu,
         mode=Mode.MDI_WEAK_COHERENT,
         k_pulses=k,
     )

@@ -4,8 +4,8 @@ The package splits along the natural seams of the problem:
 
 * :mod:`mdiqct.qmath` - exact one/two-qubit math, verification and cheating
   tables, discrimination oracles;
-* :mod:`mdiqct.devices` - fiber loss, detectors, sources, and the sampled
-  Bell-state measurement;
+* :mod:`mdiqct.devices` - fiber loss, detectors, photon numbers, and the
+  sampled Bell-state measurement;
 * :mod:`mdiqct.protocol` - one driver per protocol flow (main flow, fixed-pulse
   weak-coherent variant, non-MDI baseline); strategies enter by role;
 * :mod:`mdiqct.adversaries` - pluggable cheating strategies;
@@ -37,13 +37,10 @@ from .analysis import (
 from .devices import (
     ChannelParams,
     DetectorParams,
-    SourceModel,
     sample_bsm_ideal,
     sample_bsm_noisy,
     sample_photon_number,
-    single_photon_source,
     transmittance,
-    weak_coherent_source,
 )
 from .errors import (
     ConfigurationError,
@@ -75,7 +72,6 @@ from .qmath import (
     cheating_table,
     commitment_density,
     four_state_guessing_bound,
-    four_state_guessing_probability,
     helstrom_probability,
     minus_state,
     plus_state,

@@ -292,11 +292,10 @@ def _run_codes(rng: np.random.Generator, n: int, p: dict, max_rounds: int):
     """The run codes of ``n`` honest runs (see :func:`protocol.sample_run_codes`),
     block by block of at most ``RUN_BLOCK``, each written over the last in this
     thread's scratch, which the caller may overwrite."""
+    table = (p["y"], p["channel"], p["detector"], p["extended"], max_rounds)
     codes = _scratch("run-codes", np.uint8, min(n, RUN_BLOCK))
     for start in range(0, n, RUN_BLOCK):
-        block = codes[:min(RUN_BLOCK, n - start)]
-        table = (p["y"], p["channel"], p["detector"], p["extended"], max_rounds)
-        yield sample_run_codes(*table, rng, block.size, block)
+        yield sample_run_codes(*table, rng, codes[:min(RUN_BLOCK, n - start)])
 
 
 def _aborts(rng: np.random.Generator, n: int, p: dict, max_rounds: int) -> int:

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import adversaries, analysis, protocol
-from .devices import ChannelParams, DetectorParams, single_photon_source, weak_coherent_source
+from .devices import ChannelParams, DetectorParams
 from .errors import ConfigurationError, ParameterError
 from .qmath import ALL_LABELS, SENT_STATES, BsmOutcome, cheating_table, validate_int, verification_table
 
@@ -195,7 +195,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 def _render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # A non-finite float is a runtime error, never a NaN or Infinity token.
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _render_csv(rows: list[dict], columns: list[str]) -> str:
@@ -356,13 +357,11 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _build_run_config(opts: dict) -> protocol.RunConfig:
     mode = protocol.Mode(opts["mode"])
     weak = mode is protocol.Mode.MDI_WEAK_COHERENT
-    source = weak_coherent_source(float(opts["mu"])) if weak else single_photon_source()
     return protocol.RunConfig(
         y=float(opts["y"]),
         channel=ChannelParams(float(opts["la"]), float(opts["lb"]), float(opts["loss_coeff"])),
         detector=DetectorParams(eta=float(opts["eta"]), dark=float(opts["dark"])),
-        source_a=source,
-        source_b=source,
+        mu=float(opts["mu"]) if weak else None,
         max_rounds=int(opts["max_rounds"]),
         mode=mode,
         k_pulses=int(opts["k_pulses"]) if weak else None,

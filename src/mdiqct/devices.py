@@ -1,4 +1,9 @@
-"""Physical-layer models: fiber loss, detectors, sources, and the sampled BSM.
+"""Physical-layer models: fiber loss, detectors, photon numbers, and the sampled BSM.
+
+A source is a single-photon source, or, in the weak-coherent flow only, a
+weak-coherent one whose mean photon number μ is the same for both parties:
+:func:`validate_mu` is the one check of μ, :func:`sample_photon_number`
+draws one emission's photon count.
 
 The measurement station is modeled as four gated single-photon detectors
 behind a beam splitter.  A genuine two-photon coincidence performs the ideal
@@ -92,40 +97,17 @@ IDEAL_DETECTOR = DetectorParams(eta=1.0, dark=0.0)
 MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
-class SourceKind(Enum):
-    SINGLE_PHOTON = "single-photon"
-    WEAK_COHERENT = "weak-coherent"
+def validate_mu(mu: Optional[float]) -> None:
+    """Check a weak-coherent mean photon number: finite, > 0 and at most
+    ``MAX_POISSON_MEAN``.  None, NaN and infinities are refused."""
+    if mu is None or not 0.0 < mu <= MAX_POISSON_MEAN:  # written so that NaN fails
+        raise ParameterError(f"mean photon number must lie in (0, {MAX_POISSON_MEAN:.4g}], got {mu}")
 
 
-@dataclass(frozen=True)
-class SourceModel:
-    """Photon-number statistics of a party's source."""
-
-    kind: SourceKind = SourceKind.SINGLE_PHOTON
-    mu: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is SourceKind.WEAK_COHERENT:
-            # Written so that NaN fails; numpy's Poisson draw refuses larger means.
-            if self.mu is None or not 0.0 < self.mu <= MAX_POISSON_MEAN:
-                raise ParameterError(f"mean photon number must lie in (0, {MAX_POISSON_MEAN:.4g}], got {self.mu}")
-        elif self.mu is not None:
-            raise ParameterError("single-photon source takes no mean photon number")
-
-
-def single_photon_source() -> SourceModel:
-    return SourceModel(SourceKind.SINGLE_PHOTON)
-
-
-def weak_coherent_source(mu: float) -> SourceModel:
-    return SourceModel(SourceKind.WEAK_COHERENT, mu=mu)
-
-
-def sample_photon_number(source: SourceModel, rng: np.random.Generator) -> int:
-    """Photon count of one emission: always 1, or Poissonian with mean mu."""
-    if source.kind is SourceKind.SINGLE_PHOTON:
-        return 1
-    return int(rng.poisson(source.mu))
+def sample_photon_number(mu: Optional[float], rng: np.random.Generator) -> int:
+    """Photon count of one emission: 1 for a single-photon source (``mu``
+    None), else Poissonian with mean ``mu``."""
+    return 1 if mu is None else int(rng.poisson(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +205,14 @@ def sample_bsm_noisy(
     rng: np.random.Generator,
     *,
     extended: bool = False,
-    present_a: bool = True,
-    present_b: bool = True,
 ) -> BsmSample:
     """One round of the lossy, dark-count-afflicted Bell measurement.
 
     One uniform draw picks a band of the :func:`round_rates` table.  The
     states enter only through their ideal projection probabilities, which
     are computed when the draw lands in the both-photons band.
-    ``present_a``/``present_b`` mark whether the corresponding pulse carried
-    any photon at all; an absent pulse has transmittance 0, as in the band
-    table of the weak-coherent flow.
     """
-    rates = round_rates(
-        channel.t_a if present_a else 0.0, channel.t_b if present_b else 0.0, detector, extended
-    )
+    rates = round_rates(channel.t_a, channel.t_b, detector, extended)
     cuts = rates.dark_cuts
     u = rng.random()
     if u < cuts[3]:
@@ -286,5 +261,5 @@ def sample_bsm_noisy_batch(
 
 def poisson_tail_at_least_two(mu: float) -> float:
     """P(n ≥ 2) for a Poissonian source: 1 − e^(−mu)(1 + mu)."""
-    weak_coherent_source(mu)  # refuses a mean outside the source's domain
+    validate_mu(mu)
     return float(1.0 - math.exp(-mu) * (1.0 + mu))

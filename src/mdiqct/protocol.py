@@ -56,13 +56,7 @@ from typing import Optional
 import numpy as np
 
 from . import devices
-from .devices import (
-    ChannelParams,
-    DetectorParams,
-    SourceKind,
-    SourceModel,
-    single_photon_source,
-)
+from .devices import ChannelParams, DetectorParams
 # sample_photon_number is unused here but stays importable from this module:
 # perfbench/tracer.py wraps protocol.sample_photon_number by name.
 from .devices import sample_photon_number  # noqa: F401
@@ -208,8 +202,9 @@ class RunConfig:
     y: float = 0.9
     channel: ChannelParams = field(default_factory=ChannelParams)
     detector: DetectorParams = field(default_factory=DetectorParams)
-    source_a: SourceModel = field(default_factory=single_photon_source)
-    source_b: SourceModel = field(default_factory=single_photon_source)
+    # The mean photon number of both parties' weak-coherent sources; set in
+    # weak-coherent mode only, where it is required.
+    mu: Optional[float] = None
     max_rounds: int = DEFAULT_MAX_ROUNDS
     mode: Mode = Mode.MDI
     k_pulses: Optional[int] = None
@@ -220,15 +215,11 @@ class RunConfig:
         validate_int("max_rounds", self.max_rounds, 1)
         if self.mode is Mode.MDI_WEAK_COHERENT:
             validate_int("k_pulses", self.k_pulses, 1, MAX_K_PULSES)
-            if (
-                self.source_a.kind is not SourceKind.WEAK_COHERENT
-                or self.source_b.kind is not SourceKind.WEAK_COHERENT
-            ):
-                raise ParameterError("weak-coherent mode needs weak-coherent sources")
+            devices.validate_mu(self.mu)
         elif self.k_pulses is not None:
             raise ParameterError("pulse count K only applies to weak-coherent mode")
-        if self.mode is Mode.BASELINE and self.source_a.kind is not SourceKind.SINGLE_PHOTON:
-            raise ParameterError("the baseline flow is defined for single-photon sources")
+        elif self.mu is not None:
+            raise ParameterError("mean photon number mu only applies to weak-coherent mode")
 
     @property
     def is_ideal(self) -> bool:
@@ -416,10 +407,10 @@ def sample_run_codes(
     extended: bool,
     max_rounds: int,
     rng: np.random.Generator,
-    n: int,
-    out: Optional[np.ndarray] = None,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """The uint8 run codes of ``n`` independent honest MDI runs, in ``out`` if given.
+    """The uint8 run codes of ``out.size`` <= ``RUN_BLOCK`` independent honest
+    MDI runs, written to and returned in ``out``.
 
     Rounds are i.i.d., so whether a run succeeds within ``max_rounds``
     rounds does not depend on its deciding round, and a run is one draw
@@ -430,30 +421,25 @@ def sample_run_codes(
     success), which is all the estimator reads of a run.  With ``max_rounds``
     1 a run is one physical round, and its code that round's.
 
-    Runs are drawn in blocks of ``RUN_BLOCK``.  A block first reads one
-    16-bit prefix per run, four to a word (little-endian): the top 16 bits of
-    the run's 53-bit uniform u, whose guide bucket is prefix >> 4.  Each run
-    in a bucket that a cumulative weight cuts then reads one more word, in
-    run order, whose top 37 bits complete u, and u is binary-searched.  So
-    the cell of every run follows exactly the law of
-    ``cumulative.searchsorted(rng.random(), side="right")``, from about 16
-    bits per run.
+    The block first reads one 16-bit prefix per run, four to a word
+    (little-endian): the top 16 bits of the run's 53-bit uniform u, whose
+    guide bucket is prefix >> 4.  Each run in a bucket that a cumulative
+    weight cuts then reads one more word, in run order, whose top 37 bits
+    complete u, and u is binary-searched.  So the cell of every run follows
+    exactly the law of ``cumulative.searchsorted(rng.random(), side="right")``,
+    from about 16 bits per run.
     """
     _, cumulative, by_bucket = _run_table(y, channel, detector, extended, max_rounds)
-    codes = np.empty(n, np.uint8) if out is None else out
-    index = _scratch("run-index", np.intp, min(n, RUN_BLOCK))
-    cut = _scratch("run-cut", np.bool_, min(n, RUN_BLOCK))
-    for start in range(0, n, RUN_BLOCK):
-        block = codes[start:start + RUN_BLOCK]
-        m = block.size
-        prefix = _words(rng, -(-m // 4)).view(np.uint16)[:m]
-        np.right_shift(prefix, _BUCKET_SHIFT, out=index[:m])
-        np.take(by_bucket, index[:m], out=block, mode="clip")  # clip: out is written unbuffered
-        unsure = np.flatnonzero(np.greater_equal(block, _UNSURE, out=cut[:m]))
-        low = _words(rng, unsure.size) >> (64 - _LOW_BITS)
-        u = ((prefix[unsure].astype(np.uint64) << _LOW_BITS) | low) * 2.0**-53
-        block[unsure] = _RUN_CODES[cumulative.searchsorted(u, side="right")]
-    return codes
+    m = out.size
+    index = _scratch("run-index", np.intp, m)
+    prefix = _words(rng, -(-m // 4)).view(np.uint16)[:m]
+    np.right_shift(prefix, _BUCKET_SHIFT, out=index)
+    np.take(by_bucket, index, out=out, mode="clip")  # clip: out is written unbuffered
+    unsure = np.flatnonzero(np.greater_equal(out, _UNSURE, out=_scratch("run-cut", np.bool_, m)))
+    low = _words(rng, unsure.size) >> (64 - _LOW_BITS)
+    u = ((prefix[unsure].astype(np.uint64) << _LOW_BITS) | low) * 2.0**-53
+    out[unsure] = _RUN_CODES[cumulative.searchsorted(u, side="right")]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +581,8 @@ def _slot_band_edges(
 
     Column 32·(A's pulse non-empty) + 16·(B's pulse non-empty) + (label pair
     4·a + b) holds the band edges of the :func:`~mdiqct.devices.round_rates`
-    table in band order, an empty pulse having transmittance 0 as in
-    :func:`~mdiqct.devices.sample_bsm_noisy`.  The band of a uniform u is the
-    number of edges at or below u; 6 is the failure band.
+    table in band order, an empty pulse having transmittance 0.  The band of
+    a uniform u is the number of edges at or below u; 6 is the failure band.
     """
     p_plus, p_minus = _label_tables(y)
     blocks = []
@@ -618,7 +603,7 @@ def sample_weak_coherent_runs(config: RunConfig, rng: np.random.Generator, n: in
     Steps 1–2 of all n runs are drawn as one (n, K) batch of pulse slots,
     one draw of each kind for the whole batch, in this order: the label
     pair 4·a + b of every slot (A's and B's label indices, uniform), A's
-    photon numbers, B's photon numbers (Poissonian with each source's mean),
+    photon numbers, B's photon numbers (both Poissonian with mean μ),
     and one uniform per slot that picks the slot's band of the round table
     (see :func:`_slot_band_edges`).  The first successful slot j decides the
     run: its ``rounds`` and ``pulse_index`` are j, its ``cause`` the band's
@@ -633,8 +618,8 @@ def sample_weak_coherent_runs(config: RunConfig, rng: np.random.Generator, n: in
     k = int(config.k_pulses)
     edges = _slot_band_edges(config.y, config.channel, config.detector, config.extended_dark_model)
     pair = rng.integers(16, size=(n, k))
-    photons_a = rng.poisson(config.source_a.mu, size=(n, k))
-    photons_b = rng.poisson(config.source_b.mu, size=(n, k))
+    photons_a = rng.poisson(config.mu, size=(n, k))
+    photons_b = rng.poisson(config.mu, size=(n, k))
     u = rng.random((n, k))
 
     column = pair + 32 * (photons_a > 0) + 16 * (photons_b > 0)

@@ -4,7 +4,7 @@ Everything here is closed-form linear algebra on one or two polarization
 qubits: construction of the four commitment states and the |±⟩ cheating
 states, Bell projections |Ψ⁺⟩/|Ψ⁻⟩ at the measurement station, the
 verification table used to catch a lying committer, trace distance, and
-two optimal-discrimination oracles (Helstrom two-state, and a grid-search
+two optimal-discrimination oracles (Helstrom two-state, and the exact ½
 bound for the uniform four-state ensemble).
 
 All operations are pure functions of their inputs; the value types are
@@ -17,7 +17,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -121,14 +121,6 @@ class PureState:
         """Inner product ⟨self|other⟩."""
         return complex(np.vdot(self.ket(), other.ket()))
 
-    def bloch_vector(self) -> tuple[float, float, float]:
-        a, b = self.amp_h, self.amp_v
-        return (
-            2.0 * (a.conjugate() * b).real,
-            2.0 * (a.conjugate() * b).imag,
-            abs(a) ** 2 - abs(b) ** 2,
-        )
-
 
 def atvy_state(alpha: int, a: int, y: float) -> PureState:
     """One of the four commitment states.
@@ -162,40 +154,6 @@ def minus_state() -> PureState:
     return PureState(1.0 / _SQRT2, -1.0 / _SQRT2)
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Product-free carrier of a two-photon amplitude vector over {HH, HV, VH, VV}."""
-
-    amps: tuple[complex, complex, complex, complex]
-
-    def __post_init__(self) -> None:
-        norm_sq = sum(abs(c) ** 2 for c in self.amps)
-        if abs(norm_sq - 1.0) > ATOL:
-            raise ParameterError(f"two-qubit state is not normalized: {norm_sq!r}")
-
-    @classmethod
-    def product(cls, state_a: PureState, state_b: PureState) -> "TwoQubitState":
-        k = np.kron(state_a.ket(), state_b.ket())
-        return cls(tuple(complex(c) for c in k))
-
-    def ket(self) -> np.ndarray:
-        return np.array(self.amps, dtype=complex)
-
-
-# Bell basis kets in the {HH, HV, VH, VV} ordering (first slot = sender A).
-_PSI_PLUS_KET = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / _SQRT2
-_PSI_MINUS_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / _SQRT2
-_PHI_PLUS_KET = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / _SQRT2
-_PHI_MINUS_KET = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / _SQRT2
-
-
-class BellProbs(NamedTuple):
-    psi_plus: float
-    psi_minus: float
-    phi_plus: float
-    phi_minus: float
-
-
 def bell_projection_probs(state_a: PureState, state_b: PureState) -> tuple[float, float]:
     """Projection probabilities onto |Ψ⁺⟩ and |Ψ⁻⟩ for a product input.
 
@@ -206,17 +164,6 @@ def bell_projection_probs(state_a: PureState, state_b: PureState) -> tuple[float
     ap = (a.amp_h * b.amp_v + a.amp_v * b.amp_h) / _SQRT2
     am = (a.amp_h * b.amp_v - a.amp_v * b.amp_h) / _SQRT2
     return abs(ap) ** 2, abs(am) ** 2
-
-
-def bell_basis_probs(state_a: PureState, state_b: PureState) -> BellProbs:
-    """Projection probabilities onto the full Bell basis (sums to 1)."""
-    ket = TwoQubitState.product(state_a, state_b).ket()
-    return BellProbs(
-        psi_plus=abs(np.vdot(_PSI_PLUS_KET, ket)) ** 2,
-        psi_minus=abs(np.vdot(_PSI_MINUS_KET, ket)) ** 2,
-        phi_plus=abs(np.vdot(_PHI_PLUS_KET, ket)) ** 2,
-        phi_minus=abs(np.vdot(_PHI_MINUS_KET, ket)) ** 2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +207,6 @@ class DensityMatrix:
             raise ParameterError(f"mixture weights must sum to 1, got {total!r}")
         return cls(sum(w * rho.matrix for w, rho in components))
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def commitment_density(a: int, y: float) -> DensityMatrix:
     """Mixed state seen by the receiver when only the committed bit is known.
@@ -275,14 +219,6 @@ def commitment_density(a: int, y: float) -> DensityMatrix:
     validate_y(y)
     return DensityMatrix.mixture(
         [(0.5, atvy_state(0, a, y).density()), (0.5, atvy_state(1, a, y).density())]
-    )
-
-
-def honest_ensemble_density(y: float) -> DensityMatrix:
-    """Average state of the uniform four-state honest ensemble (equals I/2)."""
-    validate_y(y)
-    return DensityMatrix.mixture(
-        [(0.25, state_for_label(lab, y).density()) for lab in ALL_LABELS]
     )
 
 
@@ -420,59 +356,12 @@ def helstrom_probability(rho0: DensityMatrix, rho1: DensityMatrix, prior0: float
     return float(prior1 + eigs[eigs > 0.0].sum())
 
 
-def _axis_guessing_success(y: float, axes: np.ndarray) -> np.ndarray:
-    """Success of the best guess assignment for projective measurements.
-
-    ``axes`` is an (n, 3) array of Bloch measurement axes.  For each axis the
-    two projectors are (I ± n·σ)/2; the guess for each outcome is the ensemble
-    member with the largest Born probability, so the success probability is
-    1/4 + (max_i n·r_i + max_i (−n·r_i)) / 8 for unit Bloch vectors r_i.
-    """
-    bloch = np.array([state_for_label(lab, y).bloch_vector() for lab in ALL_LABELS])
-    dots = axes @ bloch.T  # (n, 4)
-    return 0.25 + (dots.max(axis=1) + (-dots).max(axis=1)) / 8.0
-
-
-def guessing_success_for_measurement(y: float, basis_state: PureState) -> float:
-    """Four-state guessing success when measuring in the basis of one state."""
-    validate_y(y)
-    axis = np.array([basis_state.bloch_vector()])
-    return float(_axis_guessing_success(y, axis)[0])
-
-
 def four_state_guessing_bound(y: float) -> float:
     """Analytic ceiling on the four-state guessing probability.
 
     For any POVM with one guess per element, success ≤ ¼ Σ Tr(Eᵢ)·λmax(ρᵢ);
     the ensemble members are pure (λmax = 1) and Σ Tr(Eᵢ) = Tr(I) = 2, so the
-    bound is ½ independent of y.
+    bound is ½ independent of y.  Measuring in a preparation basis reaches it.
     """
     validate_y(y)
-    lam_max = max(
-        float(state_for_label(lab, y).density().eigenvalues().max()) for lab in ALL_LABELS
-    )
-    return 0.25 * 2.0 * lam_max
-
-
-def four_state_guessing_probability(y: float, grid_step_deg: float = 1.0) -> float:
-    """Best guessing probability over a grid of projective measurements.
-
-    Scans Bloch measurement axes in ``grid_step_deg`` steps over a hemisphere
-    (an axis and its negation give the same measurement).  Converges to the
-    analytic bound of ½ as the grid refines; at 1° resolution it is within
-    1e-3 of it.
-    """
-    validate_y(y)
-    if grid_step_deg <= 0.0:
-        raise ParameterError("grid step must be positive")
-    thetas = np.deg2rad(np.arange(0.0, 180.0 + grid_step_deg / 2.0, grid_step_deg))
-    phis = np.deg2rad(np.arange(0.0, 180.0, grid_step_deg))
-    t, p = np.meshgrid(thetas, phis, indexing="ij")
-    axes = np.column_stack(
-        [
-            (np.sin(t) * np.cos(p)).ravel(),
-            (np.sin(t) * np.sin(p)).ravel(),
-            np.cos(t).ravel(),
-        ]
-    )
-    return float(_axis_guessing_success(y, axes).max())
+    return 0.5

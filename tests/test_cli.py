@@ -1,5 +1,6 @@
 """Command-line interface: determinism, schema conformance, exit codes."""
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -328,6 +329,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["teleport"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_runtime_error(self, capsys, monkeypatch, tmp_path, value):
+        """JSON output is strict: a non-finite float fails loudly instead of
+        printing a NaN or Infinity token, and writes no file."""
+        with pytest.raises(ValueError):
+            cli._render_json({"mean": value})
+        monkeypatch.setattr(analysis, "closed_form_for_attack", lambda *args, **kwargs: value)
+        target = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "attack", "--trials", "10", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("runtime error:")
+        assert not target.exists()
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "fair", "--out", "/nonexistent-dir/x.json")

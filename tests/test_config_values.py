@@ -1,5 +1,9 @@
 """Inputs the CLI and the library refuse: typed config values, mu, seeds, integers.
 
+The mean photon number mu is one value for both parties' weak-coherent
+sources: required in mdi-weak-coherent mode and refused in every other mode,
+so no source input is ignored silently.
+
 A config-file value passes the same type and choices as its flag, and a
 command takes only the keys of its own flags; a usage error exits 2 with a
 message on stderr and writes no output file.
@@ -16,7 +20,7 @@ import pytest
 import mdiqct
 from mdiqct import cli
 from mdiqct.adversaries import alice_blinding_attack, bob_med_attack
-from mdiqct.devices import SourceKind, SourceModel, poisson_tail_at_least_two, weak_coherent_source
+from mdiqct.devices import poisson_tail_at_least_two
 from mdiqct.errors import ParameterError
 from mdiqct.protocol import Mode, RunConfig
 from mdiqct.qmath import StateLabel, commitment_density
@@ -70,25 +74,51 @@ class TestConfigValuesAreTyped:
         assert json.loads(target.read_text())["extended"] is False
 
 
+BAD_MU = [math.nan, math.inf, 1e19, 0.0, -1.0, -math.inf]
+
+
 class TestMeanPhotonNumber:
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, 1e19, 0.0, -1.0])
+    @pytest.mark.parametrize("mu", BAD_MU)
     def test_library_refuses(self, mu):
         with pytest.raises(ParameterError, match="mean photon number"):
-            SourceModel(SourceKind.WEAK_COHERENT, mu=mu)
+            RunConfig(mode=Mode.MDI_WEAK_COHERENT, mu=mu, k_pulses=1)
 
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, 1e19, 0.0, -1.0])
+    @pytest.mark.parametrize("mu", BAD_MU)
     def test_multiphoton_tail_refuses(self, mu):
         with pytest.raises(ParameterError, match="mean photon number"):
             poisson_tail_at_least_two(mu)
 
     def test_large_finite_mean_is_accepted(self):
-        assert weak_coherent_source(1e18).mu == 1e18
+        assert RunConfig(mode=Mode.MDI_WEAK_COHERENT, mu=1e18, k_pulses=1).mu == 1e18
+        assert poisson_tail_at_least_two(1e18) == 1.0
 
-    @pytest.mark.parametrize("mu", ["nan", "inf", "1e19"])
+    @pytest.mark.parametrize("mu", ["nan", "inf", "1e19", "-inf", "0", "-1"])
     def test_cli_usage_error(self, capsys, tmp_path, mu):
-        code, err, target = run_cli(capsys, tmp_path, ["run", "--mode", "mdi-weak-coherent", "--mu", mu])
+        code, err, target = run_cli(capsys, tmp_path, ["run", "--mode", "mdi-weak-coherent", f"--mu={mu}"])
         assert code == 2
         assert err.startswith("error:") and "mean photon number" in err
+        assert not target.exists()
+
+    def test_weak_coherent_mode_requires_mu(self):
+        with pytest.raises(ParameterError, match="mean photon number"):
+            RunConfig(mode=Mode.MDI_WEAK_COHERENT, k_pulses=1)
+
+    @pytest.mark.parametrize("mode", [Mode.MDI, Mode.BASELINE])
+    def test_library_refuses_mu_outside_weak_coherent_mode(self, mode):
+        """Before, the MDI and baseline flows ran as single-photon flows and ignored mu."""
+        with pytest.raises(ParameterError, match="mean photon number mu only applies"):
+            RunConfig(mode=mode, mu=0.5)
+
+    @pytest.mark.parametrize("mode", ["mdi", "baseline"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_cli_refuses_mu_outside_weak_coherent_mode(self, capsys, tmp_path, mode, source):
+        argv = ["run", "--trials", "2", "--mode", mode]
+        if source == "flag":
+            code, err, target = run_cli(capsys, tmp_path, [*argv, "--mu", "0.5"])
+        else:
+            code, err, target = run_cli(capsys, tmp_path, argv, {"mu": 0.5})
+        assert code == 2
+        assert err.startswith("error:") and "mu" in err
         assert not target.exists()
 
 
@@ -115,15 +145,12 @@ class TestNegativeSeed:
         assert not target.exists()
 
 
-WEAK = weak_coherent_source(0.5)
-
-
 @pytest.mark.parametrize(
     "build",
     [
         lambda: RunConfig(max_rounds=2.5),
         lambda: RunConfig(max_rounds=True),
-        lambda: RunConfig(mode=Mode.MDI_WEAK_COHERENT, source_a=WEAK, source_b=WEAK, k_pulses=2.5),
+        lambda: RunConfig(mode=Mode.MDI_WEAK_COHERENT, mu=0.5, k_pulses=2.5),
         lambda: bob_med_attack(0.9, target_coin=1.0),
         lambda: alice_blinding_attack(target_coin=True),
         lambda: StateLabel.from_index(2.0),

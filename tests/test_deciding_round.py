@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import assert_within_sigmas
 from mdiqct.analysis import (
     CHUNK_SIZE,
+    _run_codes,
     bsm_success_probability,
     estimate,
     honest_abort_closed_form,
@@ -100,8 +101,9 @@ class TestOneSampler:
         with pytest.raises(ExhaustionError):
             run_honest(config, rng)
         assert rng.bit_generator.state == before
-        codes = sample_run_codes(config.y, config.channel, config.detector, False, 10**6, rng, 5)
-        assert (codes == RUN_NOT_FOUND).all()
+        out = np.empty(5, np.uint8)
+        codes = sample_run_codes(config.y, config.channel, config.detector, False, 10**6, rng, out)
+        assert codes is out and (codes == RUN_NOT_FOUND).all()
 
     def test_baseline_without_detection_is_exhausted(self):
         config = RunConfig(mode=Mode.BASELINE, detector=DetectorParams(eta=0.0, dark=0.0))
@@ -237,6 +239,15 @@ class ChosenWords:
         return self.words[self.used - size:self.used]
 
 
+def drawn_codes(table: tuple, rng, n: int) -> np.ndarray:
+    """The codes of ``n`` runs as the estimator draws them: through
+    ``_run_codes``, one block of at most ``RUN_BLOCK`` runs at a time, each
+    copied before the next overwrites it."""
+    y, channel, detector, extended, max_rounds = table
+    p = {"y": y, "channel": channel, "detector": detector, "extended": extended}
+    return np.concatenate([block.copy() for block in _run_codes(rng, n, p, max_rounds)])
+
+
 def edge_uniforms(cumulative: np.ndarray, seed: int) -> np.ndarray:
     """53-bit uniforms: the first and last, each bucket's first and the one
     below it, at each cumulative weight c the first uniform that reaches c,
@@ -280,7 +291,7 @@ class TestGuideTable:
         assert uniforms.size > RUN_BLOCK  # the lookup runs over more than one block
         words = words_for(cumulative, uniforms, seed)
         looked_up = ChosenWords(words)
-        codes = sample_run_codes(*table, looked_up, uniforms.size)
+        codes = drawn_codes(table, looked_up, uniforms.size)
         np.testing.assert_array_equal(codes, searched_codes(cumulative, uniforms, table[0]))
         assert looked_up.used == words.size
 
@@ -291,7 +302,7 @@ class TestGuideTable:
         config = LOSSY_DARK
         args = (config.y, config.channel, config.detector, config.extended_dark_model, 30)
         _, cumulative, _ = _run_table(*args)
-        codes = sample_run_codes(*args, np.random.default_rng(n), n)
+        codes = drawn_codes(args, np.random.default_rng(n), n)
         np.testing.assert_array_equal(codes, reference_codes(cumulative, config.y, np.random.default_rng(n), n))
 
     @pytest.mark.parametrize("n", [1, 1536])
@@ -305,7 +316,7 @@ class TestGuideTable:
         def mt19937():
             return np.random.Generator(np.random.MT19937(n))
 
-        codes = sample_run_codes(*args, mt19937(), n)
+        codes = drawn_codes(args, mt19937(), n)
         np.testing.assert_array_equal(codes, reference_codes(cumulative, config.y, mt19937(), n))
 
 

@@ -23,13 +23,13 @@ from mdiqct.devices import (
     DetectorParams,
     EventCause,
     poisson_tail_at_least_two,
+    round_rates,
     sample_bsm_ideal,
     sample_bsm_noisy,
     sample_bsm_noisy_batch,
     sample_photon_number,
-    single_photon_source,
     transmittance,
-    weak_coherent_source,
+    validate_mu,
 )
 from mdiqct.errors import ParameterError
 from mdiqct.qmath import BsmOutcome, atvy_state, bell_projection_probs
@@ -78,15 +78,13 @@ class TestTransmittance:
 
 class TestSources:
     def test_single_photon_always_one(self, rng):
-        src = single_photon_source()
-        assert all(sample_photon_number(src, rng) == 1 for _ in range(100))
+        assert all(sample_photon_number(None, rng) == 1 for _ in range(100))
 
     def test_weak_coherent_mean(self, rng):
-        src = weak_coherent_source(0.5)
         n = 1_000_000
-        counts = rng.poisson(src.mu, size=n)  # vectorized draw, same statistics
+        counts = rng.poisson(0.5, size=n)  # vectorized draw, same statistics
         assert_within_sigmas(counts.mean(), 0.5, math.sqrt(0.5 / n), 4.0)
-        scalar = [sample_photon_number(src, rng) for _ in range(20_000)]
+        scalar = [sample_photon_number(0.5, rng) for _ in range(20_000)]
         assert_within_sigmas(np.mean(scalar), 0.5, math.sqrt(0.5 / 20_000), 4.0)
 
     def test_multiphoton_tail(self, rng):
@@ -97,10 +95,10 @@ class TestSources:
         assert_within_sigmas(frac, p, math.sqrt(p * (1 - p) / 1_000_000))
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            weak_coherent_source(0.0)
-        with pytest.raises(ParameterError):
-            weak_coherent_source(-1.0)
+        validate_mu(0.5)
+        for mu in (0.0, -1.0, None):
+            with pytest.raises(ParameterError, match="mean photon number"):
+                validate_mu(mu)
 
 
 class TestDetectorParams:
@@ -225,15 +223,15 @@ class TestNoisyBsm:
         expected = 2 * 0.5 * 0.5 * 2 * 0.1  # P(exactly one detected) * 2d
         assert_within_sigmas(hits / n, expected, math.sqrt(expected * (1 - expected) / n))
 
-    def test_absent_pulse_cannot_deliver_photon(self, rng):
-        """present=False behaves like a lost photon: dark counts only."""
-        a = atvy_state(0, 0, 0.9)
-        channel = ChannelParams(0.0, 0.0)
+    def test_absent_pulse_cannot_deliver_photon(self):
+        """An empty pulse has transmittance 0, like a lost photon: with both
+        pulses empty a round is dark+dark or a failure, in either dark model."""
         det = DetectorParams(eta=1.0, dark=0.05)
-        for _ in range(20_000):
-            s = sample_bsm_noisy(a, a, channel, det, rng, present_a=False, present_b=False)
-            if s.outcome is not BsmOutcome.FAILURE:
-                assert s.cause is EventCause.DARK_DARK
+        for extended in (False, True):
+            rates = round_rates(0.0, 0.0, det, extended)
+            assert (rates.genuine, rates.photon_dark) == (0.0, 0.0)
+            assert rates.dark_dark == pytest.approx(2 * 0.05**2, abs=1e-15)
+            assert rates.dark_cuts == (0.0, 0.0, rates.dark_dark, 2 * rates.dark_dark)
 
     def test_sample_invariant_enforced(self):
         with pytest.raises(ParameterError):

@@ -7,12 +7,7 @@ import pytest
 
 from conftest import assert_within_sigmas
 from mdiqct import adversaries, analysis
-from mdiqct.devices import (
-    ChannelParams,
-    DetectorParams,
-    EventCause,
-    weak_coherent_source,
-)
+from mdiqct.devices import ChannelParams, DetectorParams, EventCause
 from mdiqct.errors import (
     ConfigurationError,
     ExhaustionError,
@@ -215,8 +210,7 @@ class TestWeakCoherent:
             y=0.9,
             channel=ChannelParams(l_km, l_km),
             detector=DetectorParams(eta=eta, dark=0.0),
-            source_a=weak_coherent_source(mu),
-            source_b=weak_coherent_source(mu),
+            mu=mu,
             mode=Mode.MDI_WEAK_COHERENT,
             k_pulses=k,
         )

@@ -20,17 +20,14 @@ from mdiqct.qmath import (
     PureState,
     StateLabel,
     atvy_state,
-    bell_basis_probs,
     bell_projection_probs,
     cheating_table,
     commitment_density,
     four_state_guessing_bound,
-    four_state_guessing_probability,
-    guessing_success_for_measurement,
     helstrom_probability,
-    honest_ensemble_density,
     minus_state,
     plus_state,
+    state_for_label,
     trace_distance,
     validate_y,
     verification_table,
@@ -138,7 +135,7 @@ class TestDensities:
 
     @pytest.mark.parametrize("y", Y_GRID)
     def test_uniform_ensemble_is_maximally_mixed(self, y):
-        rho = honest_ensemble_density(y)
+        rho = DensityMatrix.mixture([(0.25, state_for_label(lab, y).density()) for lab in ALL_LABELS])
         np.testing.assert_allclose(rho.matrix, np.eye(2) / 2.0, atol=1e-12)
 
     def test_invalid_bit(self):
@@ -199,8 +196,13 @@ class TestBellProjection:
             assert bell_projection_probs(s, s)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_bell_basis_completeness(self, rng):
+        """p± of the product state and its Φ± projections, from the two-photon
+        amplitudes over {HH, HV, VH, VV}, sum to 1."""
         for _ in range(100):
-            probs = bell_basis_probs(random_pure_state(rng), random_pure_state(rng))
+            a, b = random_pure_state(rng), random_pure_state(rng)
+            hh, _, _, vv = np.kron(a.ket(), b.ket())
+            phi = (abs(hh + vv) ** 2 / 2.0, abs(hh - vv) ** 2 / 2.0)
+            probs = (*bell_projection_probs(a, b), *phi)
             assert sum(probs) == pytest.approx(1.0, abs=1e-12)
             assert all(-1e-15 <= p <= 1.0 + 1e-12 for p in probs)
 
@@ -403,28 +405,50 @@ class TestHelstrom:
             helstrom_probability(rho, rho, 1.5)
 
 
+def projective_guessing_success(y: float, axes: np.ndarray) -> np.ndarray:
+    """Four-state guessing success of the projective measurement along each
+    Bloch axis of ``axes`` (shape (n, 3)), each outcome guessing its likeliest
+    state: outcome ± of a state with Bloch vector r has probability
+    (1 ± n·r)/2, so the success is ¼ + (max n·r + max −n·r)/8."""
+    kets = [state_for_label(lab, y).ket() for lab in ALL_LABELS]
+    bloch = np.array([[2 * (h.conjugate() * v).real, 2 * (h.conjugate() * v).imag, abs(h) ** 2 - abs(v) ** 2]
+                      for h, v in kets])
+    dots = axes @ bloch.T
+    return 0.25 + (dots.max(axis=1) + (-dots).max(axis=1)) / 8.0
+
+
+def axis_grid(step_deg: float) -> np.ndarray:
+    """Bloch axes over a hemisphere in ``step_deg`` steps (an axis and its
+    negation give the same measurement)."""
+    t, p = np.meshgrid(np.deg2rad(np.arange(0.0, 180.0 + step_deg / 2.0, step_deg)),
+                       np.deg2rad(np.arange(0.0, 180.0, step_deg)), indexing="ij")
+    return np.column_stack([(np.sin(t) * np.cos(p)).ravel(), (np.sin(t) * np.sin(p)).ravel(), np.cos(t).ravel()])
+
+
 class TestFourStateGuessing:
     def test_grid_reaches_half(self):
-        assert four_state_guessing_probability(0.9) == pytest.approx(0.5, abs=1e-3)
+        assert projective_guessing_success(0.9, axis_grid(1.0)).max() == pytest.approx(0.5, abs=1e-3)
 
     def test_near_symmetric_limit(self):
-        assert four_state_guessing_probability(0.5 + 1e-9) == pytest.approx(0.5, abs=1e-3)
+        assert projective_guessing_success(0.5 + 1e-9, axis_grid(1.0)).max() == pytest.approx(0.5, abs=1e-3)
 
     def test_analytic_bound_is_half(self):
         for y in Y_GRID:
-            assert four_state_guessing_bound(y) == pytest.approx(0.5, abs=1e-12)
+            assert four_state_guessing_bound(y) == 0.5
 
     def test_grid_never_exceeds_bound(self):
+        """No projective measurement beats the bound, on a grid and at random axes."""
+        rng = np.random.default_rng(11)
+        random_axes = rng.normal(size=(10_000, 3))
+        random_axes /= np.linalg.norm(random_axes, axis=1, keepdims=True)
         for y in (0.6, 0.9):
-            assert four_state_guessing_probability(y, grid_step_deg=2.0) <= 0.5 + 1e-12
+            for axes in (axis_grid(2.0), random_axes):
+                assert projective_guessing_success(y, axes).max() <= four_state_guessing_bound(y) + 1e-12
 
     def test_preparation_basis_measurement_is_exactly_half(self):
         """Measuring in the {phi00, phi01} basis identifies two of the four
         states perfectly and the other two never: success exactly 1/2."""
         for y in (0.6, 0.75, 0.9):
-            value = guessing_success_for_measurement(y, atvy_state(0, 0, y))
-            assert value == pytest.approx(0.5, abs=1e-12)
-
-    def test_bad_grid_step(self):
-        with pytest.raises(ParameterError):
-            four_state_guessing_probability(0.9, grid_step_deg=0.0)
+            h, v = atvy_state(0, 0, y).ket().real
+            axis = np.array([[2 * h * v, 0.0, h * h - v * v]])
+            assert projective_guessing_success(y, axis)[0] == pytest.approx(four_state_guessing_bound(y), abs=1e-12)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import assert_within_sigmas
 from mdiqct import cli, protocol
-from mdiqct.devices import ChannelParams, DetectorParams, round_rates, weak_coherent_source
+from mdiqct.devices import ChannelParams, DetectorParams, round_rates
 from mdiqct.errors import ParameterError
 from mdiqct.protocol import (
     Mode,
@@ -31,8 +31,7 @@ def weak_config(mu, k, l_km=0.0, eta=1.0, dark=0.0, extended=False) -> RunConfig
         y=0.9,
         channel=ChannelParams(l_km, l_km),
         detector=DetectorParams(eta=eta, dark=dark),
-        source_a=weak_coherent_source(mu),
-        source_b=weak_coherent_source(mu),
+        mu=mu,
         mode=Mode.MDI_WEAK_COHERENT,
         k_pulses=k,
         extended_dark_model=extended,
@@ -42,8 +41,8 @@ def weak_config(mu, k, l_km=0.0, eta=1.0, dark=0.0, extended=False) -> RunConfig
 def slot_success(config: RunConfig) -> float:
     """Per-slot success: one honest round at t·(1 − e^(−μ)), averaged over uniform labels."""
     rates = round_rates(
-        config.channel.t_a * -math.expm1(-config.source_a.mu),
-        config.channel.t_b * -math.expm1(-config.source_b.mu),
+        config.channel.t_a * -math.expm1(-config.mu),
+        config.channel.t_b * -math.expm1(-config.mu),
         config.detector,
         config.extended_dark_model,
     )
@@ -68,7 +67,7 @@ class TestClosedForms:
         config = OPERATING_POINTS[name]
         if k is not None:
             config = weak_config(
-                config.source_a.mu, k, config.channel.l_a, config.detector.eta, config.detector.dark,
+                config.mu, k, config.channel.l_a, config.detector.eta, config.detector.dark,
                 config.extended_dark_model,
             )
         return config, sample_weak_coherent_runs(config, np.random.default_rng(sum(map(ord, name))), self.N)
@@ -93,7 +92,7 @@ class TestClosedForms:
 
     def test_multiphoton_slot_rate(self, name):
         config, runs = self.runs(name)
-        mu = config.source_a.mu
+        mu = config.mu
         slots = [s for t in runs for s in t.multiphoton_slots]
         assert all(1 <= s <= config.k_pulses for s in slots)
         assert all(list(t.multiphoton_slots) == sorted(set(t.multiphoton_slots)) for t in runs)
@@ -123,17 +122,15 @@ class TestBatch:
 
 class TestPulseCountCap:
     def test_config_refuses_k_above_the_cap(self, monkeypatch):
-        weak = weak_coherent_source(0.5)
         monkeypatch.setattr(protocol, "MAX_K_PULSES", 5)
-        assert RunConfig(mode=Mode.MDI_WEAK_COHERENT, source_a=weak, source_b=weak, k_pulses=5).k_pulses == 5
+        assert RunConfig(mode=Mode.MDI_WEAK_COHERENT, mu=0.5, k_pulses=5).k_pulses == 5
         with pytest.raises(ParameterError):
-            RunConfig(mode=Mode.MDI_WEAK_COHERENT, source_a=weak, source_b=weak, k_pulses=6)
+            RunConfig(mode=Mode.MDI_WEAK_COHERENT, mu=0.5, k_pulses=6)
 
     def test_default_cap(self):
-        weak = weak_coherent_source(0.5)
         too_many = protocol.MAX_K_PULSES + 1
         with pytest.raises(ParameterError):
-            RunConfig(mode=Mode.MDI_WEAK_COHERENT, source_a=weak, source_b=weak, k_pulses=too_many)
+            RunConfig(mode=Mode.MDI_WEAK_COHERENT, mu=0.5, k_pulses=too_many)
 
     def test_cli_usage_error(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(protocol, "MAX_K_PULSES", 5)
