@@ -1,18 +1,23 @@
 """Pluggable cheating strategies for the protocol drivers.
 
-Each strategy declares its role (which party it replaces, or whether it is a
-rigged measurement box colluding with A), the coin value it pushes toward,
-and the protocol modes it applies to.  The driver of each flow in
-:mod:`mdiqct.protocol` calls the hooks of the declared role:
+A strategy is built from its options alone: the coin value it pushes
+toward, plus ``med_model`` for the rigged box or ``sent`` for the
+uncommitted state.  Its name, its role (which party it replaces, or a
+rigged measurement box colluding with A) and the protocol modes it
+applies to are constants of its class; :data:`STRATEGIES` maps each name
+to its class.  The driver of each flow in :mod:`mdiqct.protocol` calls the
+hooks of the declared role:
 
 * ``BOB``, either flow: ``choose_b_prime`` (his measurement of A's photon);
 * ``ALICE``, MDI flow: ``prepare`` (the state sent each round), ``reveal``;
 * ``ALICE``, baseline flow: ``control_detection`` (B's recorded bit), ``reveal``;
-* ``BLACKBOX``, MDI flow: ``box_process`` (sees B's state only), ``reveal``;
+* ``BLACKBOX``, MDI flow: ``box_process`` (sees B's state and the run's y
+  only), ``reveal``;
 * ``HONEST``: none.
 
 Everything a strategy may legitimately observe arrives through the
-phase-gated :class:`~mdiqct.protocol.RunView`.
+phase-gated :class:`~mdiqct.protocol.RunView`; the run's y is the one state
+parameter of every flow, so no strategy holds a copy of it.
 
 Expected success rates at the fair point y = 0.9, ideal devices:
 
@@ -25,6 +30,7 @@ Expected success rates at the fair point y = 0.9, ideal devices:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,18 +46,18 @@ from .qmath import (
     plus_state,
     state_for_label,
     validate_int,
-    validate_y,
 )
 
 
 @dataclass(frozen=True)
 class AdversaryStrategy:
-    """Common surface of every strategy; immutable after construction."""
+    """Common surface of every strategy, immutable; on its own, honest play."""
 
-    role: Role
-    target_coin: int
-    name: str
-    supported_modes: frozenset
+    name: ClassVar[str] = "none"
+    role: ClassVar[Role] = Role.HONEST
+    supported_modes: ClassVar[frozenset] = frozenset({Mode.MDI, Mode.BASELINE})
+
+    target_coin: int = 0
 
     def __post_init__(self) -> None:
         validate_int("target_coin", self.target_coin, 0, 1)
@@ -68,7 +74,8 @@ class BobOptimalDiscrimination(AdversaryStrategy):
     target exactly when the guess is right.
     """
 
-    y: float = 0.9
+    name = "bob-med"
+    role = Role.BOB
 
     def choose_b_prime(
         self, view: RunView, alice_state: PureState, rng: np.random.Generator
@@ -104,31 +111,33 @@ class ColludingBoxIndividual(AdversaryStrategy):
       caught rate and lifts the total success to 3/4 + y(1−y)/2.
     """
 
-    y: float = 0.9
+    name = "alice-individual"
+    role = Role.BLACKBOX
+    supported_modes = frozenset({Mode.MDI})
+
     med_model: str = "basis-flip"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        validate_y(self.y)
         if self.med_model not in MED_MODELS:
             raise ParameterError(f"med_model must be one of {MED_MODELS}, got {self.med_model!r}")
 
-    def _identify(self, state: PureState) -> StateLabel:
+    def _identify(self, state: PureState, y: float) -> StateLabel:
         # Simulation-level peek used only to drive the abstract error model.
         for label in ALL_LABELS:
-            if abs(state.overlap(state_for_label(label, self.y))) ** 2 > 1.0 - 1e-9:
+            if abs(state.overlap(state_for_label(label, y))) ** 2 > 1.0 - 1e-9:
                 return label
         raise ParameterError("input state is not one of the four honest states")
 
     def box_process(
-        self, view: RunView, bob_state: PureState, rng: np.random.Generator
+        self, view: RunView, bob_state: PureState, y: float, rng: np.random.Generator
     ) -> tuple[BsmOutcome, StateLabel]:
         if self.med_model == "projective":
             basis = int(rng.integers(2))
-            p0 = abs(bob_state.overlap(state_for_label(ALL_LABELS[2 * basis], self.y))) ** 2
+            p0 = abs(bob_state.overlap(state_for_label(ALL_LABELS[2 * basis], y))) ** 2
             guess = ALL_LABELS[2 * basis + (0 if rng.random() < p0 else 1)]
         else:
-            actual = self._identify(bob_state)
+            actual = self._identify(bob_state, y)
             if rng.random() < 0.5:
                 guess = actual
             else:
@@ -160,12 +169,14 @@ class CoherentStateAlice(AdversaryStrategy):
     outcome.  Success is (3 + 2√(y(1−y)))/4 for both states.
     """
 
-    y: float = 0.9
+    name = "alice-coherent"
+    role = Role.ALICE
+    supported_modes = frozenset({Mode.MDI})
+
     sent: str = "plus"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        validate_y(self.y)
         if self.sent not in SENT_STATES:
             raise ParameterError(f"sent state must be one of {SENT_STATES}, got {self.sent!r}")
 
@@ -190,6 +201,10 @@ class DetectorControlAlice(AdversaryStrategy):
     quantum states in and one outcome out, with no detection-control hook.
     """
 
+    name = "alice-blinding"
+    role = Role.ALICE
+    supported_modes = frozenset({Mode.BASELINE})
+
     def control_detection(self, view: RunView, bob_basis: int, rng: np.random.Generator) -> int:
         # She may inject any click pattern; which bit gets recorded is
         # irrelevant because she learns it either way.
@@ -203,83 +218,28 @@ class DetectorControlAlice(AdversaryStrategy):
 
 
 # ---------------------------------------------------------------------------
-# Factories
+# Registry
 # ---------------------------------------------------------------------------
 
-def bob_med_attack(y: float, target_coin: int = 0) -> BobOptimalDiscrimination:
-    """B's optimal-discrimination attack; success probability y."""
-    validate_y(y)
-    return BobOptimalDiscrimination(
-        role=Role.BOB,
-        target_coin=target_coin,
-        name="bob-med",
-        supported_modes=frozenset({Mode.MDI, Mode.BASELINE}),
-        y=y,
-    )
+# The public factory names, as aliases of their classes.
+identity_strategy = AdversaryStrategy
+bob_med_attack = BobOptimalDiscrimination
+alice_individual_attack = ColludingBoxIndividual
+alice_coherent_attack = CoherentStateAlice
+alice_blinding_attack = DetectorControlAlice
 
-
-def alice_individual_attack(
-    y: float, target_coin: int = 0, med_model: str = "basis-flip"
-) -> ColludingBoxIndividual:
-    """A's rigged-box attack; success 3/4 under the benchmark error model."""
-    return ColludingBoxIndividual(
-        role=Role.BLACKBOX,
-        target_coin=target_coin,
-        name="alice-individual",
-        supported_modes=frozenset({Mode.MDI}),
-        y=y,
-        med_model=med_model,
-    )
-
-
-def alice_coherent_attack(
-    y: float, target_coin: int = 0, sent_state: str = "plus"
-) -> CoherentStateAlice:
-    """A's uncommitted-state attack; success (3 + 2√(y(1−y)))/4."""
-    return CoherentStateAlice(
-        role=Role.ALICE,
-        target_coin=target_coin,
-        name="alice-coherent",
-        supported_modes=frozenset({Mode.MDI}),
-        y=y,
-        sent=sent_state,
-    )
-
-
-def alice_blinding_attack(target_coin: int = 0) -> DetectorControlAlice:
-    """A's detector-control attack on the baseline flow; success 1."""
-    return DetectorControlAlice(
-        role=Role.ALICE,
-        target_coin=target_coin,
-        name="alice-blinding",
-        supported_modes=frozenset({Mode.BASELINE}),
-    )
-
-
-def identity_strategy(target_coin: int = 0) -> AdversaryStrategy:
-    """Honest play wrapped in the strategy interface, for consistency checks."""
-    return AdversaryStrategy(
-        role=Role.HONEST,
-        target_coin=target_coin,
-        name="none",
-        supported_modes=frozenset({Mode.MDI, Mode.BASELINE}),
-    )
-
-
-# Command-line name -> factory taking (y, target_coin, **options).
-_FACTORIES = {
-    "none": lambda y, target_coin: identity_strategy(target_coin),
-    "bob-med": bob_med_attack,
-    "alice-individual": alice_individual_attack,
-    "alice-coherent": alice_coherent_attack,
-    "alice-blinding": lambda y, target_coin: alice_blinding_attack(target_coin),
+# Command-line name -> class; a class's options are its dataclass fields.
+STRATEGIES = {
+    cls.name: cls
+    for cls in (AdversaryStrategy, BobOptimalDiscrimination, ColludingBoxIndividual, CoherentStateAlice,
+                DetectorControlAlice)
 }
-STRATEGY_NAMES = tuple(_FACTORIES)
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 
-def by_name(name: str, y: float = 0.9, target_coin: int = 0, **kwargs) -> AdversaryStrategy:
-    """Construct a strategy from its command-line name."""
-    factory = _FACTORIES.get(name)
-    if factory is None:
+def by_name(name: str, target_coin: int = 0, **options) -> AdversaryStrategy:
+    """Construct a strategy from its command-line name and options."""
+    cls = STRATEGIES.get(name)
+    if cls is None:
         raise ParameterError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
-    return factory(y, target_coin, **kwargs)
+    return cls(target_coin=target_coin, **options)

@@ -263,7 +263,7 @@ def _cmd_tables(args: argparse.Namespace) -> str:
                             "outcome": out_name,
                             "row": row_label,
                             "col": col_label,
-                            "probability": repr(panel[i][j]),
+                            "probability": panel[i][j],
                             "zero_cell": int(panel[i][j] == 0.0),
                         }
                     )
@@ -276,7 +276,7 @@ def _cmd_tables(args: argparse.Namespace) -> str:
                             "outcome": out_name,
                             "row": sent,
                             "col": col_label,
-                            "probability": repr(row[j]),
+                            "probability": row[j],
                             "zero_cell": "",
                         }
                     )
@@ -310,8 +310,7 @@ def _cmd_fair(args: argparse.Namespace) -> str:
         "cheat_alice_coherent": analysis.cheat_alice_coherent(point.y),
     }
     if opts["format"] == "csv":
-        row = {k: repr(doc[k]) for k in ("y", "bias", "cheat_bob", "cheat_alice_coherent")}
-        return _render_csv([row], ["y", "bias", "cheat_bob", "cheat_alice_coherent"])
+        return _render_csv([doc], ["y", "bias", "cheat_bob", "cheat_alice_coherent"])
     return _render_json(doc)
 
 
@@ -342,15 +341,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         ],
     }
     if opts["format"] == "csv":
-        rows = [
-            {
-                "l_km": repr(pt.l_km),
-                "pr_abort": repr(pt.pr_abort),
-                "pr_abort_given_success": repr(pt.pr_abort_given_success),
-            }
-            for pt in points
-        ]
-        return _render_csv(rows, ["l_km", "pr_abort", "pr_abort_given_success"])
+        return _render_csv(doc["points"], ["l_km", "pr_abort", "pr_abort_given_success"])
     return _render_json(doc)
 
 
@@ -375,7 +366,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
     config = _build_run_config(opts)
     strategy = None
     if opts["adversary"] != "none":
-        strategy = adversaries.by_name(opts["adversary"], y=config.y, target_coin=int(opts["target_coin"]))
+        strategy = adversaries.by_name(opts["adversary"], target_coin=int(opts["target_coin"]))
     rng = np.random.default_rng(int(opts["seed"]))
     trials = int(opts["trials"])
     if strategy is not None:
@@ -428,8 +419,7 @@ def _cmd_attack(args: argparse.Namespace) -> str:
             "adversary", "y", "target_coin", "trials", "effective_trials",
             "seed", "mean", "stderr", "closed_form",
         ]
-        row = {c: repr(doc[c]) if isinstance(doc[c], float) else doc[c] for c in cols}
-        return _render_csv([row], cols)
+        return _render_csv([doc], cols)
     return _render_json(doc)
 
 

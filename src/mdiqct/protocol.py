@@ -522,15 +522,15 @@ def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator) -> Transcrip
     In role ``ALICE`` A sends whatever ``prepare`` returns, which the honest
     success table does not describe, so her rounds are walked one by one.
     In role ``BLACKBOX`` her own rigged box replaces the projection:
-    ``box_process`` receives B's state, never his label, announces an
-    outcome and smuggles a guess of B's label to A.
+    ``box_process`` receives B's state and the run's y, never his label,
+    announces an outcome and smuggles a guess of B's label to A.
     """
     run = _Run(config, strategy, rng)
     view, y = run.view, config.y
     if run.role is Role.BLACKBOX:
         # The rigged box always announces a Bell outcome, so no round fails.
         bob = ALL_LABELS[rng.integers(4)]
-        outcome, guess = strategy.box_process(view, state_for_label(bob, y), rng)
+        outcome, guess = strategy.box_process(view, state_for_label(bob, y), y, rng)
         view._outcome = outcome
         view._box_message = guess
         return run.finish(1, outcome, None, bob, "med-correct" if guess == bob else "med-wrong")

@@ -17,7 +17,6 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -259,9 +258,6 @@ class VerificationTable:
     def probability(self, outcome: BsmOutcome, label_a: StateLabel, label_b: StateLabel) -> float:
         return float(self.panel(outcome)[label_a.index, label_b.index])
 
-    def is_zero_cell(self, outcome: BsmOutcome, label_a: StateLabel, label_b: StateLabel) -> bool:
-        return self.probability(outcome, label_a, label_b) == 0.0
-
     def zero_cells(self, outcome: BsmOutcome) -> list[tuple[StateLabel, StateLabel]]:
         panel = self.panel(outcome)
         return [
@@ -270,13 +266,6 @@ class VerificationTable:
             for j, lb in enumerate(ALL_LABELS)
             if panel[i, j] == 0.0
         ]
-
-    def cells(self) -> Iterator[tuple[BsmOutcome, StateLabel, StateLabel, float]]:
-        for outcome in BELL_OUTCOMES:
-            panel = self.panel(outcome)
-            for i, la in enumerate(ALL_LABELS):
-                for j, lb in enumerate(ALL_LABELS):
-                    yield outcome, la, lb, float(panel[i, j])
 
 
 def verification_table(y: float) -> VerificationTable:

@@ -36,14 +36,14 @@ def run_success_rate(config, strategy, n, seed):
 class TestBobMed:
     def test_success_rate_matches_y(self, rng):
         n = 30_000
-        rate = run_success_rate(ideal_config(0.9), bob_med_attack(0.9), n, 5)
+        rate = run_success_rate(ideal_config(0.9), bob_med_attack(), n, 5)
         assert_within_sigmas(rate, 0.9, math.sqrt(0.09 / n))
 
     def test_success_rate_matches_helstrom_oracle(self):
         """Cross-module check: simulated rate vs the eigenvalue computation."""
         y = 0.75
         n = 30_000
-        rate = run_success_rate(ideal_config(y), bob_med_attack(y), n, 6)
+        rate = run_success_rate(ideal_config(y), bob_med_attack(), n, 6)
         oracle = helstrom_probability(commitment_density(0, y), commitment_density(1, y), 0.5)
         assert_within_sigmas(rate, oracle, math.sqrt(oracle * (1 - oracle) / n))
 
@@ -51,7 +51,7 @@ class TestBobMed:
         """As y -> 1/2 the two commitments merge and the attack guesses blind."""
         y = 0.5 + 1e-9
         n = 30_000
-        rate = run_success_rate(ideal_config(y), bob_med_attack(y), n, 7)
+        rate = run_success_rate(ideal_config(y), bob_med_attack(), n, 7)
         assert_within_sigmas(rate, 0.5, math.sqrt(0.25 / n))
 
     def test_monotone_in_y(self):
@@ -67,19 +67,19 @@ class TestBobMed:
 
         config = RunConfig(detector=DetectorParams(eta=0.5, dark=0.0))
         with pytest.raises(ConfigurationError):
-            run_with_adversary(config, bob_med_attack(0.9), rng)
+            run_with_adversary(config, bob_med_attack(), rng)
 
 
 class TestAliceIndividual:
     def test_success_rate_three_quarters(self, rng):
         n = 30_000
-        rate = run_success_rate(ideal_config(0.9), alice_individual_attack(0.9), n, 9)
+        rate = run_success_rate(ideal_config(0.9), alice_individual_attack(), n, 9)
         assert_within_sigmas(rate, 0.75, math.sqrt(0.1875 / n))
 
     def test_conditional_success_decomposition(self):
         """Correct guesses always pass; wrong guesses pass half the time."""
         config = ideal_config(0.9)
-        strategy = alice_individual_attack(0.9)
+        strategy = alice_individual_attack()
         rng = np.random.default_rng(10)
         correct_total = correct_wins = wrong_total = wrong_wins = 0
         for _ in range(30_000):
@@ -113,14 +113,14 @@ class TestAliceIndividual:
 
     def test_estimator_agrees_with_state_machine(self):
         n = 30_000
-        machine = run_success_rate(ideal_config(0.8), alice_individual_attack(0.8), n, 12)
+        machine = run_success_rate(ideal_config(0.8), alice_individual_attack(), n, 12)
         est = analysis.estimate("alice-individual", trials=n, seed=13, y=0.8)
         se = math.sqrt(2.0) * est.stderr
         assert_within_sigmas(machine, est.mean, se)
 
     def test_bad_model_name(self):
         with pytest.raises(ParameterError):
-            alice_individual_attack(0.9, med_model="helstrom")
+            alice_individual_attack(med_model="helstrom")
 
 
 class TestAliceCoherent:
@@ -128,7 +128,7 @@ class TestAliceCoherent:
     def test_success_matches_closed_form(self, sent):
         y = 0.75
         n = 30_000
-        strategy = alice_coherent_attack(y, sent_state=sent)
+        strategy = alice_coherent_attack(sent=sent)
         rate = run_success_rate(ideal_config(y), strategy, n, 14)
         expected = analysis.cheat_alice_coherent(y)
         assert_within_sigmas(rate, expected, math.sqrt(expected * (1 - expected) / n))
@@ -163,7 +163,7 @@ class TestAliceCoherent:
 
     def test_bad_sent_state(self):
         with pytest.raises(ParameterError):
-            alice_coherent_attack(0.9, sent_state="zero")
+            alice_coherent_attack(sent="zero")
 
 
 class TestAliceBlinding:
@@ -225,8 +225,8 @@ class TestCrossStrategyProperties:
     def test_state_machine_target_symmetry(self):
         """The sequential drivers also treat both targets alike."""
         n = 20_000
-        r0 = run_success_rate(ideal_config(0.9), alice_coherent_attack(0.9, 0), n, 27)
-        r1 = run_success_rate(ideal_config(0.9), alice_coherent_attack(0.9, 1), n, 28)
+        r0 = run_success_rate(ideal_config(0.9), alice_coherent_attack(0), n, 27)
+        r1 = run_success_rate(ideal_config(0.9), alice_coherent_attack(1), n, 28)
         se = math.sqrt(2.0 * 0.09 / n)
         assert abs(r0 - r1) <= 3.0 * se
 
@@ -234,30 +234,59 @@ class TestCrossStrategyProperties:
 class TestStrategySurface:
     def test_factories_validate(self):
         with pytest.raises(ParameterError):
-            bob_med_attack(0.3)
-        with pytest.raises(ParameterError):
-            alice_coherent_attack(0.9, target_coin=2)
+            alice_coherent_attack(target_coin=2)
 
     def test_by_name_round_trip(self):
         for name in adversaries.STRATEGY_NAMES:
-            strategy = by_name(name, y=0.8)
+            strategy = by_name(name)
             assert strategy.name == name
         with pytest.raises(ParameterError):
             by_name("quantum-zeno")
 
     def test_roles_and_modes(self):
-        assert bob_med_attack(0.9).role is Role.BOB
-        assert alice_individual_attack(0.9).role is Role.BLACKBOX
-        assert alice_coherent_attack(0.9).role is Role.ALICE
+        assert bob_med_attack().role is Role.BOB
+        assert alice_individual_attack().role is Role.BLACKBOX
+        assert alice_coherent_attack().role is Role.ALICE
         assert alice_blinding_attack().role is Role.ALICE
         assert Mode.MDI not in alice_blinding_attack().supported_modes
-        assert Mode.BASELINE in bob_med_attack(0.9).supported_modes
+        assert Mode.BASELINE in bob_med_attack().supported_modes
+        # Name, role and modes belong to the class, and y to the run.
+        with pytest.raises(TypeError):
+            adversaries.ColludingBoxIndividual(role=Role.BOB)
+        with pytest.raises(TypeError):
+            adversaries.BobOptimalDiscrimination(y=0.9)
 
     def test_strategies_are_immutable(self):
-        strategy = bob_med_attack(0.9)
+        strategy = bob_med_attack()
         with pytest.raises(Exception):
             strategy.target_coin = 1
 
     def test_identity_strategy_supports_both_modes(self):
         s = identity_strategy()
         assert s.supported_modes == frozenset({Mode.MDI, Mode.BASELINE})
+
+
+class TestStrategiesPlayTheRunsY:
+    """Every strategy plays at the run's y, the one state parameter.
+
+    A rigged box that read a y of its own (0.9) in a run at y = 0.7 would win
+    0.819 instead of 0.855 under the projective model, and would refuse every
+    state of the run under the basis-flip model.
+    """
+
+    @pytest.mark.parametrize("y", [0.6, 0.95])
+    @pytest.mark.parametrize(
+        "name,options",
+        [
+            pytest.param("bob-med", {}, id="bob-med"),
+            pytest.param("alice-individual", {"med_model": "basis-flip"}, id="alice-individual-basis-flip"),
+            pytest.param("alice-individual", {"med_model": "projective"}, id="alice-individual-projective"),
+            pytest.param("alice-coherent", {"sent": "plus"}, id="alice-coherent-plus"),
+            pytest.param("alice-coherent", {"sent": "minus"}, id="alice-coherent-minus"),
+        ],
+    )
+    def test_success_matches_closed_form_at_the_runs_y(self, name, options, y):
+        n = 6_000
+        rate = run_success_rate(ideal_config(y), by_name(name, **options), n, 29)
+        expected = analysis.closed_form_for_attack(name, y, med_model=options.get("med_model", "basis-flip"))
+        assert_within_sigmas(rate, expected, math.sqrt(expected * (1 - expected) / n), sigmas=4.0)

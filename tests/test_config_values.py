@@ -151,7 +151,7 @@ class TestNegativeSeed:
         lambda: RunConfig(max_rounds=2.5),
         lambda: RunConfig(max_rounds=True),
         lambda: RunConfig(mode=Mode.MDI_WEAK_COHERENT, mu=0.5, k_pulses=2.5),
-        lambda: bob_med_attack(0.9, target_coin=1.0),
+        lambda: bob_med_attack(target_coin=1.0),
         lambda: alice_blinding_attack(target_coin=True),
         lambda: StateLabel.from_index(2.0),
         lambda: commitment_density(1.0, 0.9),

@@ -55,7 +55,7 @@ class TestRouting:
 
     @pytest.mark.parametrize(
         "strategy",
-        [adversaries.alice_blinding_attack(1), adversaries.bob_med_attack(0.9), adversaries.identity_strategy()],
+        [adversaries.alice_blinding_attack(1), adversaries.bob_med_attack(), adversaries.identity_strategy()],
     )
     def test_run_baseline_reaches_the_same_driver(self, strategy):
         config = RunConfig(mode=Mode.BASELINE)
@@ -75,15 +75,13 @@ class TestPhaseGatingPerRole:
         seen = []
 
         class RecordingBox(adversaries.ColludingBoxIndividual):
-            def box_process(self, view, bob_state, rng):
+            def box_process(self, view, bob_state, y, rng):
                 seen.append(bob_state)
                 with pytest.raises(PhaseOrderError):
                     view.b_prime
-                return super().box_process(view, bob_state, rng)
+                return super().box_process(view, bob_state, y, rng)
 
-        strategy = RecordingBox(
-            role=Role.BLACKBOX, target_coin=0, name="recording", supported_modes=frozenset({Mode.MDI})
-        )
+        strategy = RecordingBox(target_coin=0)
         t = protocol.run_with_adversary(ideal_config(), strategy, np.random.default_rng(2))
         assert t.rounds == 1 and t.cause in ("med-correct", "med-wrong")
         assert len(seen) == 1 and isinstance(seen[0], PureState)
@@ -97,9 +95,7 @@ class TestPhaseGatingPerRole:
                 views.append(view)
                 return super().choose_b_prime(view, alice_state, rng)
 
-        strategy = RecordingBob(
-            role=Role.BOB, target_coin=0, name="recording", supported_modes=frozenset(Mode), y=0.9
-        )
+        strategy = RecordingBob(target_coin=0)
         t = protocol.run_with_adversary(ideal_config(mode=mode), strategy, np.random.default_rng(4))
         assert t.outcome is announced and t.bob_label is None and t.verdict is Verdict.ACCEPT
         if announced is None:
@@ -113,7 +109,7 @@ class TestIdealDeviceRegime:
     def test_library_message_names_the_quantities(self):
         lossy = RunConfig(channel=ChannelParams(5.0, 0.0))
         with pytest.raises(ConfigurationError, match="zero fiber lengths, eta 1 and dark 0"):
-            protocol.run_with_adversary(lossy, adversaries.alice_coherent_attack(0.9), np.random.default_rng(0))
+            protocol.run_with_adversary(lossy, adversaries.alice_coherent_attack(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", ["bob-med", "alice-individual", "alice-coherent"])
     def test_cli_run_under_lossy_defaults(self, capsys, name):

@@ -66,7 +66,7 @@ class TestVerify:
         for outcome in (BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS):
             for la in ALL_LABELS:
                 for lb in ALL_LABELS:
-                    assert is_zero_cell(outcome, la, lb) == table.is_zero_cell(outcome, la, lb)
+                    assert is_zero_cell(outcome, la, lb) == (table.probability(outcome, la, lb) == 0.0)
 
     def test_failure_outcome_rejected(self):
         with pytest.raises(ParameterError):
@@ -184,14 +184,7 @@ class TestShieldingAndOrdering:
                 view.b_prime  # out-of-order read
                 return super().prepare(view, prep_rng)
 
-        probe = ProbeStrategy(
-            role=adversaries.Role.ALICE,
-            target_coin=0,
-            name="probe",
-            supported_modes=frozenset({Mode.MDI}),
-            y=0.9,
-            sent="plus",
-        )
+        probe = ProbeStrategy(target_coin=0, sent="plus")
         with pytest.raises(PhaseOrderError):
             run_with_adversary(ideal_config(), probe, rng)
 
@@ -306,7 +299,7 @@ class TestBaseline:
     def test_dishonest_bob_in_baseline(self, rng):
         """The discrimination attack carries over to the baseline flow."""
         config = RunConfig(mode=Mode.BASELINE)
-        strategy = adversaries.bob_med_attack(0.9, target_coin=0)
+        strategy = adversaries.bob_med_attack(target_coin=0)
         n = 20_000
         wins = sum(
             run_baseline(config, strategy, rng).adversary_success for _ in range(n)

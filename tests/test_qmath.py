@@ -219,8 +219,11 @@ class TestVerificationTable:
     @pytest.mark.parametrize("y", Y_GRID)
     def test_matches_structural_oracle(self, y):
         table = verification_table(y)
-        for outcome, la, lb, value in table.cells():
-            assert value == pytest.approx(structural_cell(outcome, la, lb, y), abs=1e-12)
+        for outcome in (BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS):
+            panel = table.panel(outcome)
+            for la in ALL_LABELS:
+                for lb in ALL_LABELS:
+                    assert panel[la.index, lb.index] == pytest.approx(structural_cell(outcome, la, lb, y), abs=1e-12)
 
     def test_single_cell_lookup(self):
         table = verification_table(0.9)
