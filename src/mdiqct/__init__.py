@@ -6,7 +6,7 @@ The package splits along the natural seams of the problem:
   tables, discrimination oracles;
 * :mod:`mdiqct.devices` - fiber loss, detectors, photon numbers, and the
   sampled Bell-state measurement;
-* :mod:`mdiqct.protocol` - one driver per protocol flow (main flow, fixed-pulse
+* :mod:`mdiqct.protocol` - one engine per protocol flow (main flow, fixed-pulse
   weak-coherent variant, non-MDI baseline); strategies enter by role;
 * :mod:`mdiqct.adversaries` - pluggable cheating strategies;
 * :mod:`mdiqct.analysis` - closed forms, the fairness solver, and the seeded

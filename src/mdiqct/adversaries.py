@@ -1,11 +1,11 @@
-"""Pluggable cheating strategies for the protocol drivers.
+"""Pluggable cheating strategies for the protocol flows.
 
 A strategy is built from its options alone: the coin value it pushes
 toward, plus ``med_model`` for the rigged box or ``sent`` for the
 uncommitted state.  Its name, its role (which party it replaces, or a
 rigged measurement box colluding with A) and the protocol modes it
 applies to are constants of its class; :data:`STRATEGIES` maps each name
-to its class.  The driver of each flow in :mod:`mdiqct.protocol` calls the
+to its class.  The engine of each flow in :mod:`mdiqct.protocol` calls the
 hooks of the declared role:
 
 * ``BOB``, either flow: ``choose_b_prime`` (his measurement of A's photon);
@@ -15,6 +15,11 @@ hooks of the declared role:
   only), ``reveal``;
 * ``HONEST``: none.
 
+A hook plays one run or a whole batch.  For one run it receives and returns
+scalars; for a batch, arrays with one entry per run, and states whose
+amplitudes are such arrays.  ``view.size`` (None for one run) sizes its
+draws.  Labels are flat indices 2·basis + bit and outcomes the codes
+``OUTCOME_PSI_PLUS``/``OUTCOME_PSI_MINUS`` of :mod:`mdiqct.devices`.
 Everything a strategy may legitimately observe arrives through the
 phase-gated :class:`~mdiqct.protocol.RunView`; the run's y is the one state
 parameter of every flow, so no strategy holds a copy of it.
@@ -34,19 +39,13 @@ from typing import ClassVar
 
 import numpy as np
 
+from .devices import OUTCOME_PSI_MINUS, OUTCOME_PSI_PLUS
 from .errors import ParameterError
-from .protocol import Mode, Role, RunView
-from .qmath import (
-    ALL_LABELS,
-    SENT_STATES,
-    BsmOutcome,
-    PureState,
-    StateLabel,
-    minus_state,
-    plus_state,
-    state_for_label,
-    validate_int,
-)
+from .protocol import Mode, Role, RunView, draw_where, label_states, uniform_ints
+from .qmath import SENT_STATES, PureState, minus_state, plus_state, validate_int
+# state_for_label is unused here but stays importable from this module:
+# perfbench/tracer.py wraps adversaries.state_for_label by name.
+from .qmath import state_for_label  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,9 @@ class BobOptimalDiscrimination(AdversaryStrategy):
     name = "bob-med"
     role = Role.BOB
 
-    def choose_b_prime(
-        self, view: RunView, alice_state: PureState, rng: np.random.Generator
-    ) -> tuple[int, int]:
-        p_h = abs(alice_state.amp_h) ** 2
-        guessed_bit = 0 if rng.random() < p_h else 1
+    def choose_b_prime(self, view: RunView, alice_state: PureState, rng: np.random.Generator):
+        """(b′, guessed bit): he guesses 1 where the Born uniform is at or above |⟨H|φ⟩|²."""
+        guessed_bit = (rng.random(view.size) >= abs(alice_state.amp_h) ** 2) * 1
         return guessed_bit ^ self.target_coin, guessed_bit
 
 
@@ -122,39 +119,33 @@ class ColludingBoxIndividual(AdversaryStrategy):
         if self.med_model not in MED_MODELS:
             raise ParameterError(f"med_model must be one of {MED_MODELS}, got {self.med_model!r}")
 
-    def _identify(self, state: PureState, y: float) -> StateLabel:
-        # Simulation-level peek used only to drive the abstract error model.
-        for label in ALL_LABELS:
-            if abs(state.overlap(state_for_label(label, y))) ** 2 > 1.0 - 1e-9:
-                return label
-        raise ParameterError("input state is not one of the four honest states")
-
-    def box_process(
-        self, view: RunView, bob_state: PureState, y: float, rng: np.random.Generator
-    ) -> tuple[BsmOutcome, StateLabel]:
+    def box_process(self, view: RunView, bob_state: PureState, y: float, rng: np.random.Generator):
+        """(announced outcome, guessed label of B)."""
+        # The label states are real, so |⟨ψ|φ⟩| = |ψ_H φ_H + ψ_V φ_V| for any ψ.
         if self.med_model == "projective":
-            basis = int(rng.integers(2))
-            p0 = abs(bob_state.overlap(state_for_label(ALL_LABELS[2 * basis], y))) ** 2
-            guess = ALL_LABELS[2 * basis + (0 if rng.random() < p0 else 1)]
+            basis = uniform_ints(rng, 2, view.size)
+            basis_state = label_states(y, 2 * basis)
+            p0 = abs(bob_state.amp_h * basis_state.amp_h + bob_state.amp_v * basis_state.amp_v) ** 2
+            guess = 2 * basis + (rng.random(view.size) >= p0)
         else:
-            actual = self._identify(bob_state, y)
-            if rng.random() < 0.5:
-                guess = actual
-            else:
-                guess = ALL_LABELS[actual.index ^ 2]
-        outcome = BsmOutcome.PSI_PLUS if rng.random() < 0.5 else BsmOutcome.PSI_MINUS
+            # Simulation-level peek used only to drive the abstract error model.
+            labels = label_states(y)
+            overlaps = abs(np.multiply.outer(bob_state.amp_h, labels.amp_h)
+                           + np.multiply.outer(bob_state.amp_v, labels.amp_v)) ** 2
+            if overlaps.max(axis=-1).min() <= 1.0 - 1e-9:
+                raise ParameterError("input state is not one of the four honest states")
+            guess = overlaps.argmax(axis=-1) ^ 2 * (rng.random(view.size) >= 0.5)
+        outcome = OUTCOME_PSI_PLUS + (rng.random(view.size) >= 0.5)
         return outcome, guess
 
-    def reveal(self, view: RunView, rng: np.random.Generator) -> StateLabel:
-        guess: StateLabel = view.box_message
-        outcome = view.announced_outcome
+    def reveal(self, view: RunView, rng: np.random.Generator):
+        guess, outcome = view.box_message, view.announced_outcome
         a = view.b_prime ^ self.target_coin
-        if guess.bit == a:
-            # Only one basis avoids the zero cell against the guessed label.
-            basis = guess.basis if outcome is BsmOutcome.PSI_PLUS else guess.basis ^ 1
-        else:
-            basis = int(rng.integers(2))
-        return ALL_LABELS[2 * basis + a]
+        # With the guessed bit, only one basis avoids the zero cell against the
+        # guessed label; with the other bit, any basis is as good.
+        fitted = (guess >> 1) ^ (outcome == OUTCOME_PSI_MINUS)
+        basis = draw_where((guess & 1) != a, lambda k: uniform_ints(rng, 2, k), fitted)
+        return 2 * basis + a
 
 
 @dataclass(frozen=True)
@@ -181,12 +172,13 @@ class CoherentStateAlice(AdversaryStrategy):
             raise ParameterError(f"sent state must be one of {SENT_STATES}, got {self.sent!r}")
 
     def prepare(self, view: RunView, rng: np.random.Generator) -> PureState:
+        """The one state that every run still without a success sends this round."""
         return plus_state() if self.sent == "plus" else minus_state()
 
-    def reveal(self, view: RunView, rng: np.random.Generator) -> StateLabel:
+    def reveal(self, view: RunView, rng: np.random.Generator):
         a = view.b_prime ^ self.target_coin
         basis = a if self.sent == "plus" else a ^ 1
-        return ALL_LABELS[2 * basis + a]
+        return 2 * basis + a
 
 
 @dataclass(frozen=True)
@@ -197,7 +189,7 @@ class DetectorControlAlice(AdversaryStrategy):
     and she learns the basis B measured in together with the recorded bit.
     Knowing both, she can always reveal a label that passes B's check while
     the coin lands on her target, so success is 1 and the abort rate 0.
-    The MDI drivers refuse this strategy: the black-box interface carries
+    The MDI routes refuse this strategy: the black-box interface carries
     quantum states in and one outcome out, with no detection-control hook.
     """
 
@@ -205,16 +197,16 @@ class DetectorControlAlice(AdversaryStrategy):
     role = Role.ALICE
     supported_modes = frozenset({Mode.BASELINE})
 
-    def control_detection(self, view: RunView, bob_basis: int, rng: np.random.Generator) -> int:
+    def control_detection(self, view: RunView, bob_basis, rng: np.random.Generator):
         # She may inject any click pattern; which bit gets recorded is
         # irrelevant because she learns it either way.
-        return int(rng.integers(2))
+        return uniform_ints(rng, 2, view.size)
 
-    def reveal(self, view: RunView, rng: np.random.Generator) -> StateLabel:
+    def reveal(self, view: RunView, rng: np.random.Generator):
         bob_basis, recorded = view.detection_record
         a = view.b_prime ^ self.target_coin
-        basis = bob_basis if recorded == a else bob_basis ^ 1
-        return ALL_LABELS[2 * basis + a]
+        basis = bob_basis ^ (recorded != a)
+        return 2 * basis + a
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ the default seed).  Exit codes: 0 success, 1 runtime failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import shutil
 import sys
-from typing import Optional
+import tempfile
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -71,9 +74,12 @@ SCOPED_OPTIONS = {
     "sent": ("adversary", "alice-coherent"),
 }
 
-# Pulse slots per weak-coherent batch of a run stream: a batch holds
-# max(1, RUN_BATCH_SLOTS // K) runs, so its memory is bounded by K alone.
+# A run stream is drawn and written in batches, so its memory does not grow
+# with --trials.  A weak-coherent batch holds max(1, RUN_BATCH_SLOTS // K)
+# runs of K pulse slots each, so its memory is bounded by K alone; a batch of
+# the other flows holds RUN_BATCH_ROWS runs.
 RUN_BATCH_SLOTS = 2**16
+RUN_BATCH_ROWS = 2**12
 
 LABEL_ORDER = ["00", "01", "10", "11"]  # basis then bit
 
@@ -206,13 +212,36 @@ def _render_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    # Render fully before touching the filesystem so failures leave no file.
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: Union[str, Iterable[str]], out_path: Optional[str]) -> None:
+    """Write a rendered document, or a stream's pieces as they are drawn.
+
+    A document is rendered fully before the filesystem is touched, and a
+    stream goes to a temporary file that replaces ``out_path`` (or is copied
+    to stdout) only once its last piece is written, so a failure leaves no
+    file and no output.
+    """
+    if isinstance(text, str):
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return
+    if not out_path:
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            spool.writelines(text)
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
+        return
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            fh.writelines(text)
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +389,9 @@ def _build_run_config(opts: dict) -> protocol.RunConfig:
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> str:
+def _cmd_run(args: argparse.Namespace) -> Union[str, Iterable[str]]:
+    """The stream's pieces, one per batch, drawn as they are written; a
+    stream of one batch is rendered whole, like any other document."""
     opts = _merge_options(args)
     validate_int("trials", opts["trials"], 1)
     config = _build_run_config(opts)
@@ -368,21 +399,17 @@ def _cmd_run(args: argparse.Namespace) -> str:
     if opts["adversary"] != "none":
         strategy = adversaries.by_name(opts["adversary"], target_coin=int(opts["target_coin"]))
     rng = np.random.default_rng(int(opts["seed"]))
+    protocol.sample_run_lines(config, strategy, rng, 0)  # refuses a strategy outside its flow, drawing nothing
     trials = int(opts["trials"])
-    if strategy is not None:
-        transcripts = (protocol.run_with_adversary(config, strategy, rng) for _ in range(trials))
-    elif config.mode is protocol.Mode.MDI_WEAK_COHERENT:
+    if config.mode is protocol.Mode.MDI_WEAK_COHERENT:
         batch = max(1, RUN_BATCH_SLOTS // config.k_pulses)
-        transcripts = (
-            t
-            for start in range(0, trials, batch)
-            for t in protocol.sample_weak_coherent_runs(config, rng, min(batch, trials - start))
-        )
-    elif config.mode is protocol.Mode.MDI:
-        transcripts = (protocol.run_honest(config, rng) for _ in range(trials))
     else:
-        transcripts = (protocol.run_baseline(config, None, rng) for _ in range(trials))
-    return "\n".join(map(protocol.transcript_json_line, transcripts)) + "\n"
+        batch = RUN_BATCH_ROWS
+    pieces = (
+        "".join(line + "\n" for line in protocol.sample_run_lines(config, strategy, rng, min(batch, trials - start)))
+        for start in range(0, trials, batch)
+    )
+    return pieces if trials > batch else next(pieces)
 
 
 def _cmd_attack(args: argparse.Namespace) -> str:
@@ -435,7 +462,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         _emit(text, getattr(args, "out", None))
-    except OSError as exc:
+    except Exception as exc:  # a stream's runtime failure, or an OSError writing the output
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -197,6 +197,21 @@ BAND_CAUSE = np.repeat(
 )
 
 
+def bsm_band(u, rates: RoundRates, p_plus, p_minus):
+    """The band of the :func:`round_rates` table that a uniform ``u`` picks,
+    for one round (scalars) or many (equal-shape arrays).
+
+    ``p_plus``/``p_minus`` are the rounds' ideal projection probabilities.
+    The band is the number of band edges at or below u; a u at or above the
+    round's success mass ``dark_cuts[3] + genuine`` fails even where rounding
+    puts the last edge above it (p⁺ + p⁻ = 1).
+    """
+    cuts, genuine = rates.dark_cuts, rates.genuine
+    plus_cut = cuts[3] + genuine * p_plus
+    band = sum(u >= cut for cut in (*cuts, plus_cut, plus_cut + genuine * p_minus))
+    return band + (u >= cuts[3] + genuine) * (FAILURE_BAND - band)
+
+
 def sample_bsm_noisy(
     state_a: PureState,
     state_b: PureState,
@@ -241,21 +256,16 @@ def sample_bsm_noisy_batch(
     """Vectorized :func:`sample_bsm_noisy` for many independent rounds.
 
     ``p_plus``/``p_minus`` give the per-round ideal projection probabilities
-    for whatever states each round carries.  Each round's uniform draw is
-    compared against the cumulative band thresholds.  Returns int8 arrays
-    of outcome and cause codes.
+    for whatever states each round carries; each round's uniform draw picks
+    its band (:func:`bsm_band`).  Returns int8 arrays of outcome and cause
+    codes.
     """
     p_plus = np.asarray(p_plus, dtype=float)
     p_minus = np.asarray(p_minus, dtype=float)
     if p_plus.shape != p_minus.shape:
         raise ParameterError("probability arrays must have matching shapes")
     rates = round_rates(channel.t_a, channel.t_b, detector, extended)
-    u = rng.random(p_plus.shape[0])
-    plus_cut = rates.dark_cuts[3] + rates.genuine * p_plus
-    band = np.zeros(u.shape, dtype=np.int8)
-    for cut in (*rates.dark_cuts, plus_cut, plus_cut + rates.genuine * p_minus):
-        band += u >= cut
-    band = band.astype(np.intp)  # gathers with intp indices cost about a third of int8 ones
+    band = bsm_band(rng.random(p_plus.shape[0]), rates, p_plus, p_minus)  # intp: cheaper gathers than int8
     return BAND_OUTCOME[band], BAND_CAUSE[band]
 
 

@@ -1,4 +1,4 @@
-"""The coin-tossing protocol: one driver per flow, strategies plugged in by role.
+"""The coin-tossing protocol: one engine per flow, strategies plugged in by role.
 
 One run of the main (measurement-device-independent) flow:
 
@@ -11,24 +11,25 @@ One run of the main (measurement-device-independent) flow:
 5. B accepts unless the (outcome, revealed, own-label) triple sits on a
    zero cell of the verification table; on accept the coin is x = a ⊕ b′.
 
-Also provided: the fixed-pulse-count variant for weak-coherent sources, and
-a deliberately simplified non-MDI baseline flow (B measures in a random
-basis himself) used to demonstrate the detector-control attack that the
-MDI design removes.  Weak-coherent runs are drawn as one (n, K) batch of
-pulse slots by :func:`sample_weak_coherent_runs`; K is capped at
-:data:`MAX_K_PULSES`.
+Also provided: the fixed-pulse-count variant for weak-coherent sources (K
+capped at :data:`MAX_K_PULSES`), and a deliberately simplified non-MDI
+baseline flow (B measures in a random basis himself) used to demonstrate the
+detector-control attack that the MDI design removes.
 
-Each flow has one driver for steps 1–2; steps 3–5 are written once for all
-of them.  A cheating strategy plays one party: it declares a :class:`Role`,
-and the driver calls that role's hooks, listed in :mod:`mdiqct.adversaries`.
+Each flow route (mode, role) is written once, for one run or a batch: its
+steps 1–2, then the steps 3–5 that every route shares.  A cheating strategy
+plays one party: it declares a :class:`Role`, and the route calls that
+role's hooks, listed in :mod:`mdiqct.adversaries`.  Each stage makes one
+draw per kind, for the rows that need it, in row order; numpy's array draws
+equal the same number of scalar draws, so a one-run batch draws exactly as a
+single run.  The single-run functions (:func:`run_honest`,
+:func:`run_baseline`, :func:`run_with_adversary`) play one run;
+:func:`sample_runs` and :func:`sample_run_lines` a batch.
 
 Honest runs do not walk their failed rounds.  Rounds are i.i.d., so the
 round count is Geometric(p_round) and does not depend on the deciding round,
-which is one round drawn from the round model conditioned on success.  An
-honest MDI run therefore draws its deciding (label pair, band) cell and then
-its round count; the honest baseline likewise draws its round count from
-Geometric(t_a·η) and its labels and measurement once.  The estimator reads
-the round count only as ``rounds <= max_rounds``, so
+which is one round drawn from the round model conditioned on success.  The
+estimator reads the round count only as ``rounds <= max_rounds``, so
 :func:`sample_run_codes` draws a whole run as one uniform: a categorical
 over the 96 deciding cells, each weighted by P(found), and one cell for the
 run that finds no success within ``max_rounds``.  It reads a 16-bit prefix
@@ -66,6 +67,7 @@ from .qmath import (
     BsmOutcome,
     PureState,
     StateLabel,
+    bell_projection_probs,
     state_for_label,
     validate_int,
     validate_y,
@@ -170,24 +172,37 @@ def transcript_to_record(t: Transcript) -> dict:
 _JSON_STRING = json.encoder.encode_basestring_ascii  # the string encoder of json.dumps
 
 
+# One record line, its keys in sorted order; the two label fields and the
+# multiphoton slots arrive written out.
+_LINE = (
+    '{"adversary_success":%s,"b_prime":%s,%s,"cause":%s,"coin":%s,"multiphoton_slots":[%s],'
+    '"outcome":%s,"pulse_index":%s,%s,"rounds":%d,"verdict":%s}'
+)
+# The two label fields by label index; index -1 (no label) is null.
+_LABEL_FIELDS = {
+    name: [f'"{name}_basis":{label.basis},"{name}_bit":{label.bit}' for label in ALL_LABELS]
+    + [f'"{name}_basis":null,"{name}_bit":null']
+    for name in ("bob", "revealed")
+}
+
+
 def transcript_json_line(t: Transcript) -> str:
     """One record line, byte for byte ``json.dumps(transcript_to_record(t),
     sort_keys=True, separators=(",", ":"))`` for the plain ints, strings and
     enums a transcript holds, written directly with its keys in sorted order."""
     bob, revealed, success = t.bob_label, t.revealed_label, t.adversary_success
-    return (
-        f'{{"adversary_success":{"null" if success is None else "true" if success else "false"},'
-        f'"b_prime":{"null" if t.bob_random_bit is None else t.bob_random_bit},'
-        f'"bob_basis":{"null" if bob is None else bob.basis},'
-        f'"bob_bit":{"null" if bob is None else bob.bit},'
-        f'"cause":{"null" if t.cause is None else _JSON_STRING(t.cause)},'
-        f'"coin":{"null" if t.coin is None else t.coin},'
-        f'"multiphoton_slots":[{",".join(map(str, t.multiphoton_slots))}],'
-        f'"outcome":{"null" if t.outcome is None else _JSON_STRING(t.outcome.value)},'
-        f'"pulse_index":{"null" if t.pulse_index is None else t.pulse_index},'
-        f'"revealed_basis":{"null" if revealed is None else revealed.basis},'
-        f'"revealed_bit":{"null" if revealed is None else revealed.bit},'
-        f'"rounds":{t.rounds},"verdict":{_JSON_STRING(t.verdict.value)}}}'
+    return _LINE % (
+        "null" if success is None else "true" if success else "false",
+        "null" if t.bob_random_bit is None else t.bob_random_bit,
+        _LABEL_FIELDS["bob"][-1 if bob is None else bob.index],
+        "null" if t.cause is None else _JSON_STRING(t.cause),
+        "null" if t.coin is None else t.coin,
+        ",".join(map(str, t.multiphoton_slots)),
+        "null" if t.outcome is None else _JSON_STRING(t.outcome.value),
+        "null" if t.pulse_index is None else t.pulse_index,
+        _LABEL_FIELDS["revealed"][-1 if revealed is None else revealed.index],
+        t.rounds,
+        _JSON_STRING(t.verdict.value),
     )
 
 
@@ -245,36 +260,27 @@ def ideal_config(y: float = 0.9, mode: Mode = Mode.MDI, max_rounds: int = DEFAUL
 class RunView:
     """What an adversary may observe, released phase by phase.
 
-    The driver fills each slot once the protocol has fixed its value; reading
-    it earlier raises :class:`PhaseOrderError`, so a strategy structurally
-    cannot condition its early moves on later messages.
+    The engine fills each slot once the protocol has fixed its value:
+    ``announced_outcome`` (the box's outcome code), ``b_prime``,
+    ``box_message`` (side information smuggled out of a colluding box) and
+    ``detection_record`` (B's basis and recorded bit, leaked by a controlled
+    detector in the baseline flow).  Reading a slot earlier raises
+    :class:`PhaseOrderError`, so a strategy structurally cannot condition
+    its early moves on later messages.  ``size`` is the number of runs the
+    current hook call plays, or None for one run: each slot then holds a
+    scalar, else an array with one entry per run.
     """
 
-    __slots__ = ("_outcome", "_b_prime", "_box_message", "_detection_record")
+    __slots__ = ("size", "announced_outcome", "b_prime", "box_message", "detection_record")
 
-    def _get(self, slot: str, name: str):
-        try:
-            return getattr(self, slot)
-        except AttributeError:  # the slot is not filled yet
-            raise PhaseOrderError(f"{name} is not available in this protocol phase") from None
+    def __init__(self, size: Optional[int] = None) -> None:
+        self.size = size
 
-    @property
-    def announced_outcome(self) -> BsmOutcome:
-        return self._get("_outcome", "announced_outcome")
-
-    @property
-    def b_prime(self) -> int:
-        return self._get("_b_prime", "b_prime")
-
-    @property
-    def box_message(self):
-        """Classical side information smuggled out of a colluding black box."""
-        return self._get("_box_message", "box_message")
-
-    @property
-    def detection_record(self):
-        """Basis/outcome pair leaked by a controlled detector (baseline only)."""
-        return self._get("_detection_record", "detection_record")
+    def __getattr__(self, name: str):
+        # Called only for a name that is not set: an unfilled slot, or no slot at all.
+        if name in RunView.__slots__:
+            raise PhaseOrderError(f"{name} is not available in this protocol phase")
+        raise AttributeError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -443,135 +449,191 @@ def sample_run_codes(
 
 
 # ---------------------------------------------------------------------------
+# Labels, states and draws for one run or a batch
+# ---------------------------------------------------------------------------
+
+# A flow's stages use the same code for one run and for a batch: values are
+# scalars for one run (``size`` None) and arrays with one entry per row for a
+# batch.  Labels are flat indices 2·basis + bit, outcomes the codes of
+# devices.OUTCOME_*, and -1 stands for a field the run does not have.
+
+@lru_cache(maxsize=32)
+def _label_states(y: float) -> tuple[tuple[PureState, ...], PureState, np.ndarray]:
+    """The four label states at y: one by one, as one batch of four, and
+    the table |⟨label i|label j⟩|²."""
+    states = tuple(state_for_label(label, y) for label in ALL_LABELS)
+    batch = PureState(np.array([s.amp_h for s in states]), np.array([s.amp_v for s in states]))
+    overlaps = np.array([[abs(a.overlap(b)) ** 2 for b in states] for a in states])
+    for arr in (batch.amp_h, batch.amp_v, overlaps):
+        arr.setflags(write=False)
+    return states, batch, overlaps
+
+
+def label_states(y: float, label=None) -> PureState:
+    """The state of label index ``label`` at y; for an index array, the
+    batch of states, one per row; for None, the four as one batch."""
+    states, batch, _ = _label_states(y)
+    if label is None:
+        return batch
+    if isinstance(label, np.ndarray):
+        return PureState(batch.amp_h[label], batch.amp_v[label])
+    return states[label]
+
+
+def uniform_ints(rng: np.random.Generator, k: int, size: Optional[int]):
+    """Uniform integers in [0, k): a Python int for one run (``size`` None),
+    whose arithmetic is cheaper than a numpy scalar's, else an array."""
+    drawn = rng.integers(k, size=size)
+    return int(drawn) if size is None else drawn
+
+
+def draw_where(mask, draw, fill):
+    """``draw(k)`` for the k rows where ``mask`` holds, in row order, and
+    ``fill`` in the other rows; for one run, ``draw(None)`` if ``mask``
+    holds, else ``fill``.  A stage draws only for the rows that need it."""
+    if not isinstance(mask, np.ndarray):
+        return draw(None) if mask else fill
+    out = np.array(np.broadcast_to(fill, mask.shape))
+    out[mask] = draw(np.count_nonzero(mask))
+    return out
+
+
+def _check_rounds(rounds, max_rounds: int, message: str) -> None:
+    """Raise :class:`ExhaustionError` if any run took more than ``max_rounds`` rounds."""
+    if (rounds.max(initial=0) if isinstance(rounds, np.ndarray) else rounds) > max_rounds:
+        raise ExhaustionError(f"{message} within {max_rounds} rounds")
+
+
+# Causes by code: the band causes at their devices.CAUSE_* codes, then the
+# causes that attacks and the other flows write.
+CAUSES = (
+    None, "both-photons", "photon+dark", "dark+dark",
+    "med-correct", "med-wrong", "controlled-detection", "baseline-detection", "no-bsm-success",
+)
+_MED_CORRECT, _CONTROLLED, _DETECTED, _NO_SUCCESS = 4, 6, 7, 8  # med-wrong is _MED_CORRECT + 1
+
+
+# ---------------------------------------------------------------------------
 # Steps 3–5, shared by every flow
 # ---------------------------------------------------------------------------
 
-class _Run:
-    """One execution in progress; ``strategy`` is None for honest play."""
-
-    __slots__ = ("config", "strategy", "role", "view", "rng")
-
-    def __init__(self, config: RunConfig, strategy, rng: np.random.Generator) -> None:
-        self.config = config
-        self.strategy = strategy
-        self.role = Role.HONEST if strategy is None else strategy.role
-        self.view = RunView()
-        self.rng = rng
-
-    def finish(
-        self,
-        rounds: int,
-        outcome: Optional[BsmOutcome],
-        alice: Optional[StateLabel],
-        bob: Optional[StateLabel],
-        cause: Optional[str],
-        **record,
-    ) -> Transcript:
-        """Steps 3–5: b′, A's reveal, B's check, and the coin.
-
-        ``alice`` is None when a strategy plays A: she reveals whatever fits
-        b′.  ``bob`` is None when a strategy plays B: he steers b′ from his
-        measurement of A's photon and, being the verifier, never aborts.
-        ``outcome`` is None in the baseline flow, which has no box.
-        """
-        view, strategy, rng = self.view, self.strategy, self.rng
-        if self.role is Role.BOB:
-            alice_state = state_for_label(alice, self.config.y)
-            b_prime, guessed_bit = strategy.choose_b_prime(view, alice_state, rng)
-            cause = "med-correct" if guessed_bit == alice.bit else "med-wrong"
-        else:
-            b_prime = int(rng.integers(2))
-        view._b_prime = b_prime
-        revealed = alice if alice is not None else strategy.reveal(view, rng)
-
-        if bob is None:
-            verdict = Verdict.ACCEPT
-        elif outcome is None:  # baseline: B measured A's photon himself
-            caught = bob.basis == revealed.basis and bob.bit != revealed.bit
-            verdict = Verdict.ABORT if caught else Verdict.ACCEPT
-        else:
-            verdict = verify(outcome, revealed, bob, self.config.y)
-        coin = (revealed.bit ^ b_prime) if verdict is Verdict.ACCEPT else None
-        return Transcript(
-            rounds=rounds,
-            outcome=outcome,
-            bob_label=bob,
-            bob_random_bit=b_prime,
-            revealed_label=revealed,
-            verdict=verdict,
-            coin=coin,
-            cause=cause,
-            adversary_success=(
-                None if self.role is Role.HONEST
-                else verdict is Verdict.ACCEPT and coin == strategy.target_coin
-            ),
-            **record,
-        )
+# The fields of one run (scalars) or of a batch (arrays, or a scalar that
+# every row shares), as a plain tuple: rounds, outcome, B's label, b′, the
+# revealed label, whether B accepts, the cause code, and the adversary's
+# success (None for honest play); weak-coherent runs add the pulse index and
+# the multiphoton slots.
+_Rows = tuple
 
 
-# ---------------------------------------------------------------------------
-# The MDI flow
-# ---------------------------------------------------------------------------
+def _finish(config: RunConfig, strategy, view: RunView, rng: np.random.Generator,
+            rounds, outcome, alice, bob, cause) -> _Rows:
+    """Steps 3–5: b′, A's reveal, B's check, and the coin.
 
-def _run_mdi(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    """Steps 1–2 of the main flow, then the shared steps 3–5.
-
-    Honest play draws its deciding (label pair, band) cell from
-    :func:`_run_table` with P(found) = 1, then its Geometric(p_round) round
-    count; failed rounds are not walked.
-    In role ``ALICE`` A sends whatever ``prepare`` returns, which the honest
-    success table does not describe, so her rounds are walked one by one.
-    In role ``BLACKBOX`` her own rigged box replaces the projection:
-    ``box_process`` receives B's state and the run's y, never his label,
-    announces an outcome and smuggles a guess of B's label to A.
+    ``alice`` is None when a strategy plays A: she reveals whatever fits b′.
+    ``bob`` is -1 when a strategy plays B: he steers b′ from his measurement
+    of A's photon and, being the verifier, never aborts.  ``outcome`` is 0
+    in the baseline flow, which has no box.
     """
-    run = _Run(config, strategy, rng)
-    view, y = run.view, config.y
-    if run.role is Role.BLACKBOX:
-        # The rigged box always announces a Bell outcome, so no round fails.
-        bob = ALL_LABELS[rng.integers(4)]
-        outcome, guess = strategy.box_process(view, state_for_label(bob, y), y, rng)
-        view._outcome = outcome
-        view._box_message = guess
-        return run.finish(1, outcome, None, bob, "med-correct" if guess == bob else "med-wrong")
-
-    if run.role is Role.HONEST:
-        p_round, cumulative, _ = _run_table(y, config.channel, config.detector, config.extended_dark_model, None)
-        if p_round <= 0.0:
-            raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
-        # The deciding cell, then the round count: a binary search of one
-        # uniform, the law that sample_run_codes draws from fewer bits.
-        pair, band = divmod(int(cumulative.searchsorted(rng.random(), side="right")), 6)
-        rounds = int(rng.geometric(p_round))
-        alice, bob, sample = ALL_LABELS[pair >> 2], ALL_LABELS[pair & 3], devices.BAND_SAMPLES[band]
+    role = Role.HONEST if strategy is None else strategy.role
+    if role is Role.BOB:
+        b_prime, guessed_bit = strategy.choose_b_prime(view, label_states(config.y, alice), rng)
+        cause = _MED_CORRECT + (guessed_bit != (alice & 1))
     else:
-        alice, rounds, sample = None, 0, devices.BAND_SAMPLES[devices.FAILURE_BAND]
-        while sample.outcome is BsmOutcome.FAILURE and rounds <= config.max_rounds:
-            rounds += 1
-            state_a = strategy.prepare(view, rng)
-            bob = ALL_LABELS[rng.integers(4)]
-            sample = devices.sample_bsm_noisy(
-                state_a, state_for_label(bob, y), config.channel, config.detector, rng,
-                extended=config.extended_dark_model,
-            )
-    if rounds > config.max_rounds:
+        b_prime = uniform_ints(rng, 2, view.size)
+    view.b_prime = b_prime
+    revealed = alice if alice is not None else strategy.reveal(view, rng)
+    # B aborts on a zero cell of the verification table, where the XOR of the
+    # revealed and B's label index is 2 for Ψ⁺ (code 1: same bit, other basis)
+    # and 0 for Ψ⁻ (code 2), see is_zero_cell; in the baseline flow (code 0) he
+    # aborts on the same basis with the other bit, XOR 1.  A dishonest B's
+    # label is -1, whose XOR with any label is negative: he never aborts.
+    accept = (revealed ^ bob) != (outcome + 1) % 3
+    success = None if role is Role.HONEST else accept & (((revealed & 1) ^ b_prime) == strategy.target_coin)
+    return rounds, outcome, bob, b_prime, revealed, accept, cause, success
+
+
+# ---------------------------------------------------------------------------
+# The MDI flow, steps 1–2
+# ---------------------------------------------------------------------------
+
+def _mdi_honest(config: RunConfig, strategy, view: RunView, rng: np.random.Generator) -> _Rows:
+    """Honest play draws its deciding (label pair, band) cell from
+    :func:`_run_table` with P(found) = 1, then its Geometric(p_round) round
+    count; failed rounds are not walked."""
+    p_round, cumulative, _ = _run_table(
+        config.y, config.channel, config.detector, config.extended_dark_model, None
+    )
+    if p_round <= 0.0:
         raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
-    view._outcome = sample.outcome
-    return run.finish(rounds, sample.outcome, alice, bob, sample.cause.value)
+    # The deciding cell, then the round count: a binary search of one
+    # uniform, the law that sample_run_codes draws from fewer bits.
+    pair, band = divmod(cumulative.searchsorted(rng.random(view.size), side="right"), 6)
+    rounds = rng.geometric(p_round, view.size)
+    _check_rounds(rounds, config.max_rounds, "no successful projection")
+    outcome = view.announced_outcome = devices.BAND_OUTCOME[band]
+    return _finish(config, strategy, view, rng, rounds, outcome, pair >> 2, pair & 3, devices.BAND_CAUSE[band])
 
 
-def run_honest(config: RunConfig, rng: np.random.Generator) -> Transcript:
-    """One honest execution of the main flow.
+def _mdi_alice(config: RunConfig, strategy, view: RunView, rng: np.random.Generator) -> _Rows:
+    """A sends whatever ``prepare`` returns, which the honest success table
+    does not describe, so rounds are walked: each round, every run still
+    without a success calls ``prepare`` (with ``view.size`` its number of
+    runs), draws B's label and draws its band."""
+    rates = devices.round_rates(config.channel.t_a, config.channel.t_b, config.detector, config.extended_dark_model)
+    size = view.size
+    pending = None if size is None else np.arange(size)
+    if pending is not None:
+        rounds, bob, band = (np.zeros(size, np.int64) for _ in range(3))
+    for round_index in range(1, config.max_rounds + 1):
+        view.size = None if pending is None else pending.size
+        state = strategy.prepare(view, rng)
+        label = uniform_ints(rng, 4, view.size)
+        drawn = devices.bsm_band(rng.random(view.size), rates,
+                                 *bell_projection_probs(state, label_states(config.y, label)))
+        if pending is None:
+            if drawn != devices.FAILURE_BAND:
+                rounds, bob, band = round_index, label, drawn
+                break
+            continue
+        done = drawn != devices.FAILURE_BAND
+        rounds[pending[done]], bob[pending[done]], band[pending[done]] = round_index, label[done], drawn[done]
+        pending = pending[~done]
+        if not pending.size:
+            break
+    else:
+        raise ExhaustionError(f"no successful projection within {config.max_rounds} rounds")
+    view.size = size
+    outcome = view.announced_outcome = devices.BAND_OUTCOME[band]
+    return _finish(config, strategy, view, rng, rounds, outcome, None, bob, devices.BAND_CAUSE[band])
 
-    Failed rounds are not simulated: the deciding round and the round count
-    are drawn directly (see :func:`_run_mdi`), which is exact because rounds
-    are i.i.d.  A run whose round count exceeds ``config.max_rounds``, or in
-    which no round can succeed, raises :class:`ExhaustionError`.
+
+def _mdi_box(config: RunConfig, strategy, view: RunView, rng: np.random.Generator) -> _Rows:
+    """A's own rigged box replaces the projection: ``box_process`` receives
+    B's state and the run's y, never his label, announces an outcome and
+    smuggles a guess of B's label to A.  It always announces a Bell outcome,
+    so no round fails."""
+    bob = uniform_ints(rng, 4, view.size)
+    outcome, guess = strategy.box_process(view, label_states(config.y, bob), config.y, rng)
+    view.announced_outcome, view.box_message = outcome, guess
+    return _finish(config, strategy, view, rng, 1, outcome, None, bob, _MED_CORRECT + (guess != bob))
+
+
+def _dishonest_bob(config: RunConfig, strategy, view: RunView, rng: np.random.Generator) -> _Rows:
+    """B measures A's photon in his own lab instead of joining a projection.
+
+    In the MDI flow he announces Ψ⁺ as if the box had succeeded; the
+    baseline flow announces no outcome.  He steers b′ at step 3.
     """
-    if config.mode is not Mode.MDI:
-        raise ConfigurationError(f"run_honest requires mdi mode, got {config.mode.value}")
-    return _run_mdi(config, None, rng)
+    alice = uniform_ints(rng, 4, view.size)
+    outcome = devices.OUTCOME_PSI_PLUS if config.mode is Mode.MDI else 0
+    if outcome:
+        view.announced_outcome = outcome
+    return _finish(config, strategy, view, rng, 1, outcome, alice, -1, None)
 
+
+# ---------------------------------------------------------------------------
+# The weak-coherent flow
+# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
 def _slot_band_edges(
@@ -597,25 +659,20 @@ def _slot_band_edges(
     return edges
 
 
-def sample_weak_coherent_runs(config: RunConfig, rng: np.random.Generator, n: int) -> list[Transcript]:
-    """``n`` independent runs of the fixed-pulse-count weak-coherent variant.
-
-    Steps 1–2 of all n runs are drawn as one (n, K) batch of pulse slots,
-    one draw of each kind for the whole batch, in this order: the label
-    pair 4·a + b of every slot (A's and B's label indices, uniform), A's
-    photon numbers, B's photon numbers (both Poissonian with mean μ),
-    and one uniform per slot that picks the slot's band of the round table
-    (see :func:`_slot_band_edges`).  The first successful slot j decides the
-    run: its ``rounds`` and ``pulse_index`` are j, its ``cause`` the band's
-    event cause.  A run without one aborts after all K slots with cause
+def _weak_coherent(config: RunConfig, strategy, view: RunView, rng: np.random.Generator) -> _Rows:
+    """Steps 1–2 of all runs as one (n, K) batch of pulse slots, one draw of
+    each kind for the whole batch, in this order: the label pair 4·a + b of
+    every slot (A's and B's label indices, uniform), A's photon numbers, B's
+    photon numbers (both Poissonian with mean μ), and one uniform per slot
+    that picks the slot's band of the round table (see
+    :func:`_slot_band_edges`).  The first successful slot j decides the run:
+    its ``rounds`` and ``pulse_index`` are j, its ``cause`` the band's event
+    cause.  A run without one aborts after all K slots with cause
     ``no-bsm-success``.  ``multiphoton_slots`` lists every slot in which
     either pulse held two or more photons.  Steps 3–5 of the runs with a
-    success then follow in row order.
+    success then follow, as one batch.  One run is the one-run batch.
     """
-    if config.mode is not Mode.MDI_WEAK_COHERENT:
-        raise ConfigurationError(f"weak-coherent runs require weak-coherent mode, got {config.mode.value}")
-    validate_int("n", n, 0)
-    k = int(config.k_pulses)
+    n, k = view.size, int(config.k_pulses)
     edges = _slot_band_edges(config.y, config.channel, config.detector, config.extended_dark_model)
     pair = rng.integers(16, size=(n, k))
     photons_a = rng.poisson(config.mu, size=(n, k))
@@ -627,88 +684,151 @@ def sample_weak_coherent_runs(config: RunConfig, rng: np.random.Generator, n: in
     rows = np.arange(n)
     first = success.argmax(axis=1)  # the first successful slot, or 0 if none
     found = success[rows, first]
-    first_column = column[rows, first]
-    band = (u[rows, first] >= edges[:, first_column]).sum(axis=0)
+    first = first[found]
+    cell = column[found, first]
+    band = (u[found, first] >= edges[:, cell]).sum(axis=0)
+    decided = _finish(
+        config, strategy, RunView(first.size), rng, first + 1, devices.BAND_OUTCOME[band],
+        (cell & 15) >> 2, cell & 3, devices.BAND_CAUSE[band],
+    )
+    # Runs without a success keep these fields: K rounds, no outcome or labels, an abort.
+    fields = np.array([k, 0, -1, -1, -1, 0, _NO_SUCCESS, -1])[:, None].repeat(n, axis=1)
+    fields[:, found] = [*decided[:7], first + 1]
     multi_rows, multi_slots = np.nonzero((photons_a >= 2) | (photons_b >= 2))
     ends = np.searchsorted(multi_rows, rows, side="right").tolist()
     multi_slots = (multi_slots + 1).tolist()
-
-    run = _Run(config, None, rng)  # honest play: its view is never read, so one serves every row
-    transcripts = []
-    start = 0
-    for ok, slot, cell_pair, cell_band, end in zip(
-        found.tolist(), (first + 1).tolist(), (first_column & 15).tolist(), band.tolist(), ends
-    ):
-        multiphoton, start = tuple(multi_slots[start:end]), end
-        if not ok:
-            transcripts.append(Transcript(
-                rounds=k, outcome=None, bob_label=None, bob_random_bit=None, revealed_label=None,
-                verdict=Verdict.ABORT, coin=None, cause="no-bsm-success", multiphoton_slots=multiphoton,
-            ))
-            continue
-        sample = devices.BAND_SAMPLES[cell_band]
-        transcripts.append(run.finish(
-            slot, sample.outcome, ALL_LABELS[cell_pair >> 2], ALL_LABELS[cell_pair & 3], sample.cause.value,
-            pulse_index=slot, multiphoton_slots=multiphoton,
-        ))
-    return transcripts
-
-
-def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript:
-    """One run of the fixed-pulse-count variant for weak-coherent sources.
-
-    Both parties emit K pulse slots with fresh labels per slot; the first
-    slot with a successful projection (index j) carries the labels used in
-    the remaining steps.  If every slot fails the run aborts, so this
-    variant is not loss tolerant.  Multi-photon emissions are treated as
-    "photon present" (no multi-photon interference model) and their slot
-    indices are flagged on the transcript.  This is the one-run batch of
-    :func:`sample_weak_coherent_runs`, which documents the draws.
-    """
-    return sample_weak_coherent_runs(config, rng, 1)[0]
+    multiphoton = [tuple(multi_slots[start:end]) for start, end in zip([0, *ends], ends)]
+    return (*fields[:7], None, fields[7], multiphoton)
 
 
 # ---------------------------------------------------------------------------
-# The baseline (non-MDI) flow
+# The baseline (non-MDI) flow, steps 1–2
 # ---------------------------------------------------------------------------
 
-def _measure_in_basis(state: PureState, basis: int, y: float, rng: np.random.Generator) -> int:
-    """Projective measurement in one preparation basis; returns the bit."""
-    p0 = abs(state.overlap(state_for_label(ALL_LABELS[2 * basis], y))) ** 2
-    return 0 if rng.random() < p0 else 1
-
-
-def _run_baseline(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
+def _baseline_honest(config: RunConfig, strategy, view: RunView, rng: np.random.Generator) -> _Rows:
     """Simplified direct-measurement flow used to stage detector attacks.
 
     A sends her state straight to B, who measures in a uniformly random
     preparation basis; honest play draws the number of pulses up to the
-    first detection as Geometric(t_a·η), then the labels and the
-    measurement of the detected pulse.  After the reveal, B aborts iff he
+    first detection as Geometric(t_a·η), then A's label, B's basis and the
+    Born outcome of the detected pulse.  After the reveal, B aborts iff he
     measured in A's basis and recorded the orthogonal bit.  This check is a
     deliberate simplification: it is just strong enough to show that a
     detector-controlling A evades it completely while the MDI flow gives
-    her no such handle.  In role ``ALICE`` she owns B's detection:
-    ``control_detection`` fixes the recorded bit, and she learns it
-    together with B's basis.
+    her no such handle.
     """
-    run = _Run(config, strategy, rng)
-    if run.role is Role.ALICE:
-        # Every controlled detection succeeds, so no round is resent.
-        bob_basis = int(rng.integers(2))
-        recorded = run.strategy.control_detection(run.view, bob_basis, rng)
-        run.view._detection_record = (bob_basis, recorded)
-        # StateLabel checks the bit that the strategy chose.
-        return run.finish(1, None, None, StateLabel(bob_basis, recorded), "controlled-detection")
-
     detect_prob = config.channel.t_a * config.detector.eta
-    rounds = int(rng.geometric(detect_prob)) if detect_prob > 0.0 else None
-    if rounds is None or rounds > config.max_rounds:
+    if detect_prob <= 0.0:
         raise ExhaustionError(f"no detection within {config.max_rounds} rounds")
-    alice = ALL_LABELS[rng.integers(4)]
-    bob_basis = int(rng.integers(2))
-    recorded = _measure_in_basis(state_for_label(alice, config.y), bob_basis, config.y, rng)
-    return run.finish(rounds, None, alice, ALL_LABELS[2 * bob_basis + recorded], "baseline-detection")
+    size = view.size
+    rounds = rng.geometric(detect_prob, size)
+    _check_rounds(rounds, config.max_rounds, "no detection")
+    alice = uniform_ints(rng, 4, size)
+    bob_basis = uniform_ints(rng, 2, size)
+    # B records bit 0 with probability |⟨φ_{β,0}|φ_A⟩|².
+    recorded = rng.random(size) >= _label_states(config.y)[2][alice, 2 * bob_basis]
+    return _finish(config, strategy, view, rng, rounds, 0, alice, 2 * bob_basis + recorded, _DETECTED)
+
+
+def _baseline_alice(config: RunConfig, strategy, view: RunView, rng: np.random.Generator) -> _Rows:
+    """A owns B's detection: ``control_detection`` fixes the recorded bit,
+    and she learns it together with B's basis.  Every controlled detection
+    succeeds, so no round is resent."""
+    bob_basis = uniform_ints(rng, 2, view.size)
+    recorded = strategy.control_detection(view, bob_basis, rng)
+    view.detection_record = (bob_basis, recorded)
+    return _finish(config, strategy, view, rng, 1, 0, None, 2 * bob_basis + recorded, _CONTROLLED)
+
+
+# ---------------------------------------------------------------------------
+# Routing a strategy to its flow
+# ---------------------------------------------------------------------------
+
+# (mode, role) -> (steps 1–2 of the flow, whether the strategy is analysed for
+# ideal devices only).  The cheating analyses grant the dishonest party
+# perfect devices; detector control is modelled at the information level and
+# runs on any.
+_ROUTES = {
+    (Mode.MDI, Role.HONEST): (_mdi_honest, False),
+    (Mode.MDI, Role.ALICE): (_mdi_alice, True),
+    (Mode.MDI, Role.BLACKBOX): (_mdi_box, True),
+    (Mode.MDI, Role.BOB): (_dishonest_bob, True),
+    (Mode.MDI_WEAK_COHERENT, Role.HONEST): (_weak_coherent, False),
+    (Mode.BASELINE, Role.HONEST): (_baseline_honest, False),
+    (Mode.BASELINE, Role.ALICE): (_baseline_alice, False),
+    (Mode.BASELINE, Role.BOB): (_dishonest_bob, True),
+}
+
+
+def _route(config: RunConfig, strategy):
+    """Steps 1–2 of the flow that ``config.mode`` and the strategy's role
+    select (``strategy`` None: honest play), once the pairing is checked."""
+    if strategy is None:
+        return _ROUTES[(config.mode, Role.HONEST)][0]
+    route = _ROUTES.get((config.mode, strategy.role))
+    if route is None or config.mode not in strategy.supported_modes:
+        raise ConfigurationError(
+            f"strategy {strategy.name!r} does not apply to mode {config.mode.value!r}"
+        )
+    steps, ideal_only = route
+    if ideal_only and not config.is_ideal:
+        raise ConfigurationError(
+            f"strategy {strategy.name!r} is analyzed for ideal devices; "
+            "use zero fiber lengths, eta 1 and dark 0"
+        )
+    return steps
+
+
+def _batch(config: RunConfig, strategy, rng: np.random.Generator, n: int) -> Optional[_Rows]:
+    """The fields of ``n`` runs drawn as one batch; None, drawing nothing, for ``n`` 0."""
+    validate_int("n", n, 0)
+    steps = _route(config, strategy)
+    return steps(config, strategy, RunView(n), rng) if n else None
+
+
+def sample_runs(config: RunConfig, strategy, rng: np.random.Generator, n: int) -> list[Transcript]:
+    """``n`` independent runs of the flow that ``config`` and ``strategy``
+    select (None: honest play), drawn as one batch.
+
+    Each stage makes one draw of each kind for the rows that need it, in
+    row order, so a batch follows the law of ``n`` single runs while its
+    draws differ from theirs; a one-run batch draws exactly as one single
+    run.  ``n`` 0 draws nothing and returns [] once the route is checked.
+    """
+    rows = _batch(config, strategy, rng, n)
+    return [] if rows is None else list(map(_transcript, *_columns(rows, n)))
+
+
+def sample_run_lines(config: RunConfig, strategy, rng: np.random.Generator, n: int) -> list[str]:
+    """The record lines of ``sample_runs(config, strategy, rng, n)``, one
+    per run, each equal to its :func:`transcript_json_line`, written straight
+    from the batch's fields."""
+    rows = _batch(config, strategy, rng, n)
+    return [] if rows is None else _json_lines(rows, n)
+
+
+def run_with_adversary(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
+    """Run the protocol with one party's messages produced by a strategy.
+
+    The honest counterpart follows the normal flow.  The strategy declares
+    its role and the modes it applies to; a mismatch (for example attaching
+    the detector-control attack to the MDI flow, which exposes no
+    detection-control channel) is a configuration error.
+    """
+    return _transcript(*_route(config, strategy)(config, strategy, RunView(), rng))
+
+
+def run_honest(config: RunConfig, rng: np.random.Generator) -> Transcript:
+    """One honest execution of the main flow.
+
+    Failed rounds are not simulated: the deciding round and the round count
+    are drawn directly (see :func:`_mdi_honest`), which is exact because
+    rounds are i.i.d.  A run whose round count exceeds ``config.max_rounds``,
+    or in which no round can succeed, raises :class:`ExhaustionError`.
+    """
+    if config.mode is not Mode.MDI:
+        raise ConfigurationError(f"run_honest requires mdi mode, got {config.mode.value}")
+    return _transcript(*_route(config, None)(config, None, RunView(), rng))
 
 
 def run_baseline(
@@ -721,64 +841,102 @@ def run_baseline(
         raise ParameterError("run_baseline requires a random generator")
     if config.mode is not Mode.BASELINE:
         raise ConfigurationError(f"run_baseline requires baseline mode, got {config.mode.value}")
-    if strategy is not None:
-        return run_with_adversary(config, strategy, rng)
-    return _run_baseline(config, None, rng)
+    return _transcript(*_route(config, strategy)(config, strategy, RunView(), rng))
 
 
-# ---------------------------------------------------------------------------
-# Dishonest B, in either flow
-# ---------------------------------------------------------------------------
+def sample_weak_coherent_runs(config: RunConfig, rng: np.random.Generator, n: int) -> list[Transcript]:
+    """``n`` independent runs of the fixed-pulse-count weak-coherent variant,
+    drawn as one batch (see :func:`_weak_coherent` for the draws)."""
+    if config.mode is not Mode.MDI_WEAK_COHERENT:
+        raise ConfigurationError(f"weak-coherent runs require weak-coherent mode, got {config.mode.value}")
+    return sample_runs(config, None, rng, n)
 
-def _run_dishonest_bob(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    """B measures A's photon in his own lab instead of joining a projection.
 
-    In the MDI flow he announces Ψ⁺ as if the box had succeeded; the
-    baseline flow announces no outcome.  He steers b′ at step 3.
+def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript:
+    """One run of the fixed-pulse-count variant for weak-coherent sources.
+
+    Both parties emit K pulse slots with fresh labels per slot; the first
+    slot with a successful projection (index j) carries the labels used in
+    the remaining steps.  If every slot fails the run aborts, so this
+    variant is not loss tolerant.  Multi-photon emissions are treated as
+    "photon present" (no multi-photon interference model) and their slot
+    indices are flagged on the transcript.  This is the one-run batch of
+    :func:`sample_weak_coherent_runs`.
     """
-    run = _Run(config, strategy, rng)
-    alice = ALL_LABELS[rng.integers(4)]
-    outcome = BsmOutcome.PSI_PLUS if config.mode is Mode.MDI else None
-    if outcome is not None:
-        run.view._outcome = outcome
-    return run.finish(1, outcome, alice, None, None)
+    return sample_weak_coherent_runs(config, rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------
-# Routing a strategy to its flow
+# Fields to transcripts and record lines
 # ---------------------------------------------------------------------------
 
-# (mode, role) -> (driver, whether the strategy is analysed for ideal devices
-# only).  The cheating analyses grant the dishonest party perfect devices;
-# detector control is modelled at the information level and runs on any.
-_ROUTES = {
-    (Mode.MDI, Role.HONEST): (_run_mdi, False),
-    (Mode.MDI, Role.ALICE): (_run_mdi, True),
-    (Mode.MDI, Role.BLACKBOX): (_run_mdi, True),
-    (Mode.MDI, Role.BOB): (_run_dishonest_bob, True),
-    (Mode.BASELINE, Role.HONEST): (_run_baseline, False),
-    (Mode.BASELINE, Role.ALICE): (_run_baseline, False),
-    (Mode.BASELINE, Role.BOB): (_run_dishonest_bob, True),
-}
+_OUTCOMES = (None, BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS)
+_LABELS = (*ALL_LABELS, None)  # index -1: no label
+_VERDICTS = (Verdict.ABORT, Verdict.ACCEPT)
 
 
-def run_with_adversary(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
-    """Run the protocol with one party's messages produced by a strategy.
+def _transcript(rounds, outcome, bob, b_prime, revealed, accept, cause, success,
+                pulse_index=-1, multiphoton=()) -> Transcript:
+    """The transcript of one run's fields (Python or numpy scalars)."""
+    return Transcript(
+        int(rounds),
+        _OUTCOMES[outcome],
+        _LABELS[bob],
+        None if b_prime < 0 else int(b_prime),
+        _LABELS[revealed],
+        _VERDICTS[1 if accept else 0],
+        int((revealed & 1) ^ b_prime) if accept else None,
+        CAUSES[cause],
+        None if pulse_index < 0 else int(pulse_index),
+        multiphoton,
+        None if success is None else bool(success),
+    )
 
-    The honest counterpart follows the normal flow.  The strategy declares
-    its role and the modes it applies to; a mismatch (for example attaching
-    the detector-control attack to the MDI flow, which exposes no
-    detection-control channel) is a configuration error.
-    """
-    route = _ROUTES.get((config.mode, strategy.role))
-    if route is None or config.mode not in strategy.supported_modes:
-        raise ConfigurationError(
-            f"strategy {strategy.name!r} does not apply to mode {config.mode.value!r}"
-        )
-    driver, ideal_only = route
-    if ideal_only and not config.is_ideal:
-        raise ConfigurationError(
-            f"strategy {strategy.name!r} is analyzed for ideal devices; "
-            "use zero fiber lengths, eta 1 and dark 0"
-        )
-    return driver(config, strategy, rng)
+
+def _columns(rows: _Rows, n: int) -> list[list]:
+    """A batch's fields as lists of Python values, a shared scalar repeated."""
+    rounds, outcome, bob, b_prime, revealed, accept, cause, success, *weak = rows
+    pulse_index, multiphoton = weak or (-1, [()] * n)
+    return [
+        field.tolist() if isinstance(field, np.ndarray) else [field] * n
+        for field in (rounds, outcome, bob, b_prime, revealed, accept, cause, success, pulse_index)
+    ] + [multiphoton]
+
+
+def _tokens(values) -> np.ndarray:
+    return np.array(values, dtype=object)
+
+
+# JSON tokens of the fields of _LINE by field code; index -1 is null.
+_LABEL_TOKENS = {name: _tokens(fields) for name, fields in _LABEL_FIELDS.items()}
+_BIT_TOKENS = _tokens(["0", "1", "null"])
+_OUTCOME_TOKENS = _tokens([_JSON_STRING(o.value) if o else "null" for o in _OUTCOMES])
+_CAUSE_TOKENS = _tokens([_JSON_STRING(c) if c else "null" for c in CAUSES])
+_SUCCESS_TOKENS = _tokens(["false", "true", "null"])
+_VERDICT_TOKENS = _tokens([_JSON_STRING(v.value) for v in _VERDICTS])
+
+
+def _json_lines(rows: _Rows, n: int) -> list[str]:
+    """:func:`transcript_json_line` of every row, from the batch's fields."""
+    def tokens(table: np.ndarray, codes) -> list:
+        # A field that every row shares is a scalar code.
+        return table[codes].tolist() if isinstance(codes, np.ndarray) else [table[codes]] * n
+
+    rounds, outcome, bob, b_prime, revealed, accept, cause, success, *weak = rows
+    pulse_index, multiphoton = weak or (None, None)
+    accept = accept.astype(np.intp)
+    coin = np.where(accept, (revealed & 1) ^ b_prime, -1)
+    columns = (
+        tokens(_SUCCESS_TOKENS, -1 if success is None else success.astype(np.intp)),
+        tokens(_BIT_TOKENS, b_prime),
+        tokens(_LABEL_TOKENS["bob"], bob),
+        tokens(_CAUSE_TOKENS, cause),
+        tokens(_BIT_TOKENS, coin),
+        [""] * n if multiphoton is None else [",".join(map(str, slots)) for slots in multiphoton],
+        tokens(_OUTCOME_TOKENS, outcome),
+        ["null"] * n if pulse_index is None else ["null" if p < 0 else str(p) for p in pulse_index.tolist()],
+        tokens(_LABEL_TOKENS["revealed"], revealed),
+        rounds.tolist() if isinstance(rounds, np.ndarray) else [rounds] * n,
+        _VERDICT_TOKENS[accept].tolist(),
+    )
+    return list(map(_LINE.__mod__, zip(*columns)))

@@ -98,7 +98,9 @@ class PureState:
     """Normalized single-photon polarization state a|H⟩ + b|V⟩.
 
     Amplitudes are complex for generality; the honest states and the |±⟩
-    cheating states are all real-valued.
+    cheating states are all real-valued.  Equal-shape arrays of amplitudes
+    hold a batch of states, one per row; :meth:`ket`, :meth:`density` and
+    :meth:`overlap` take one state.
     """
 
     amp_h: complex
@@ -106,7 +108,8 @@ class PureState:
 
     def __post_init__(self) -> None:
         norm_sq = abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2
-        if abs(norm_sq - 1.0) > ATOL:
+        error = abs(norm_sq - 1.0)
+        if (error.max(initial=0.0) if isinstance(error, np.ndarray) else error) > ATOL:
             raise ParameterError(f"state is not normalized: |a|^2+|b|^2 = {norm_sq!r}")
 
     def ket(self) -> np.ndarray:
@@ -143,14 +146,18 @@ def state_for_label(label: StateLabel, y: float) -> PureState:
     return atvy_state(label.basis, label.bit, y)
 
 
+_PLUS = PureState(1.0 / _SQRT2, 1.0 / _SQRT2)
+_MINUS = PureState(1.0 / _SQRT2, -1.0 / _SQRT2)
+
+
 def plus_state() -> PureState:
     """|+⟩ = (|H⟩ + |V⟩)/√2."""
-    return PureState(1.0 / _SQRT2, 1.0 / _SQRT2)
+    return _PLUS
 
 
 def minus_state() -> PureState:
     """|−⟩ = (|H⟩ − |V⟩)/√2."""
-    return PureState(1.0 / _SQRT2, -1.0 / _SQRT2)
+    return _MINUS
 
 
 def bell_projection_probs(state_a: PureState, state_b: PureState) -> tuple[float, float]:
@@ -158,6 +165,7 @@ def bell_projection_probs(state_a: PureState, state_b: PureState) -> tuple[float
 
     Only these two Bell states are resolvable with linear optics; the
     remainder 1 − p⁺ − p⁻ is the failure probability of the measurement.
+    Either state may be a batch, which gives arrays of probabilities.
     """
     a, b = state_a, state_b
     ap = (a.amp_h * b.amp_v + a.amp_v * b.amp_h) / _SQRT2

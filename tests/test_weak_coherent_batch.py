@@ -146,15 +146,16 @@ class TestRunStreamBatches:
     def test_batch_sizes_follow_the_slot_budget(self, monkeypatch, capsys, k, trials, sizes):
         monkeypatch.setattr(cli, "RUN_BATCH_SLOTS", 25)
         drawn = []
+        sample_run_lines = protocol.sample_run_lines
 
-        def spy(config, rng, n):
+        def spy(config, strategy, rng, n):
             drawn.append(n)
-            return sample_weak_coherent_runs(config, rng, n)
+            return sample_run_lines(config, strategy, rng, n)
 
-        monkeypatch.setattr(protocol, "sample_weak_coherent_runs", spy)
+        monkeypatch.setattr(protocol, "sample_run_lines", spy)
         argv = ["run", "--mode", "mdi-weak-coherent", "--k-pulses", str(k), "--trials", str(trials)]
         assert cli.main(argv) == 0
-        assert drawn == sizes
+        assert drawn == [0, *sizes]  # the first call checks the route and draws nothing
         assert len(capsys.readouterr().out.splitlines()) == trials
 
     def test_stream_is_the_batches_in_row_order(self, capsys):
