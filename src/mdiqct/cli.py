@@ -17,14 +17,13 @@ the default seed).  Exit codes: 0 success, 1 runtime failure, 2 usage.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
 import shutil
 import sys
 import tempfile
-from typing import Iterable, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -77,9 +76,11 @@ SCOPED_OPTIONS = {
 # A run stream is drawn and written in batches, so its memory does not grow
 # with --trials.  A weak-coherent batch holds max(1, RUN_BATCH_SLOTS // K)
 # runs of K pulse slots each, so its memory is bounded by K alone; a batch of
-# the other flows holds RUN_BATCH_ROWS runs.
+# the other flows holds RUN_BATCH_ROWS runs.  A command's output is held in
+# memory up to SPOOL_BYTES and spooled to a temporary file past that.
 RUN_BATCH_SLOTS = 2**16
 RUN_BATCH_ROWS = 2**12
+SPOOL_BYTES = 2**20
 
 LABEL_ORDER = ["00", "01", "10", "11"]  # basis then bit
 
@@ -212,36 +213,15 @@ def _render_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: Union[str, Iterable[str]], out_path: Optional[str]) -> None:
-    """Write a rendered document, or a stream's pieces as they are drawn.
-
-    A document is rendered fully before the filesystem is touched, and a
-    stream goes to a temporary file that replaces ``out_path`` (or is copied
-    to stdout) only once its last piece is written, so a failure leaves no
-    file and no output.
-    """
-    if isinstance(text, str):
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    if not out_path:
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-            spool.writelines(text)
-            spool.seek(0)
-            shutil.copyfileobj(spool, sys.stdout)
-        return
-    tmp_path = f"{out_path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            fh.writelines(text)
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp_path)
-        raise
+def _emit(spool, out_path: Optional[str]) -> None:
+    """Copy a command's whole output from its spool to ``out_path``, written
+    in place (a device, a pipe or a symlink's target as well), or to stdout."""
+    spool.seek(0)
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            shutil.copyfileobj(spool, fh)
+    else:
+        shutil.copyfileobj(spool, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +369,8 @@ def _build_run_config(opts: dict) -> protocol.RunConfig:
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> Union[str, Iterable[str]]:
-    """The stream's pieces, one per batch, drawn as they are written; a
-    stream of one batch is rendered whole, like any other document."""
+def _cmd_run(args: argparse.Namespace) -> Iterator[str]:
+    """The stream's pieces, one per batch, drawn as they are written."""
     opts = _merge_options(args)
     validate_int("trials", opts["trials"], 1)
     config = _build_run_config(opts)
@@ -399,17 +378,13 @@ def _cmd_run(args: argparse.Namespace) -> Union[str, Iterable[str]]:
     if opts["adversary"] != "none":
         strategy = adversaries.by_name(opts["adversary"], target_coin=int(opts["target_coin"]))
     rng = np.random.default_rng(int(opts["seed"]))
-    protocol.sample_run_lines(config, strategy, rng, 0)  # refuses a strategy outside its flow, drawing nothing
     trials = int(opts["trials"])
     if config.mode is protocol.Mode.MDI_WEAK_COHERENT:
         batch = max(1, RUN_BATCH_SLOTS // config.k_pulses)
     else:
         batch = RUN_BATCH_ROWS
-    pieces = (
-        "".join(line + "\n" for line in protocol.sample_run_lines(config, strategy, rng, min(batch, trials - start)))
-        for start in range(0, trials, batch)
-    )
-    return pieces if trials > batch else next(pieces)
+    for start in range(0, trials, batch):
+        yield "\n".join(protocol.sample_run_lines(config, strategy, rng, min(batch, trials - start))) + "\n"
 
 
 def _cmd_attack(args: argparse.Namespace) -> str:
@@ -452,19 +427,24 @@ def _cmd_attack(args: argparse.Namespace) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        text = args.handler(args)
-    except (ParameterError, ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failure
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        _emit(text, getattr(args, "out", None))
-    except Exception as exc:  # a stream's runtime failure, or an OSError writing the output
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
+    # The output is drawn whole into a spool before the filesystem is touched,
+    # so a failure, even one in a stream's last batch, leaves no file and no output.
+    with tempfile.SpooledTemporaryFile(SPOOL_BYTES, "w+", encoding="utf-8", newline="") as spool:
+        try:
+            output = args.handler(args)
+            for piece in [output] if isinstance(output, str) else output:
+                spool.write(piece)
+        except (ParameterError, ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # runtime failure
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 1
+        try:
+            _emit(spool, getattr(args, "out", None))
+        except OSError as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -172,37 +172,29 @@ def transcript_to_record(t: Transcript) -> dict:
 _JSON_STRING = json.encoder.encode_basestring_ascii  # the string encoder of json.dumps
 
 
-# One record line, its keys in sorted order; the two label fields and the
-# multiphoton slots arrive written out.
-_LINE = (
-    '{"adversary_success":%s,"b_prime":%s,%s,"cause":%s,"coin":%s,"multiphoton_slots":[%s],'
-    '"outcome":%s,"pulse_index":%s,%s,"rounds":%d,"verdict":%s}'
-)
-# The two label fields by label index; index -1 (no label) is null.
-_LABEL_FIELDS = {
-    name: [f'"{name}_basis":{label.basis},"{name}_bit":{label.bit}' for label in ALL_LABELS]
-    + [f'"{name}_basis":null,"{name}_bit":null']
-    for name in ("bob", "revealed")
-}
-
-
 def transcript_json_line(t: Transcript) -> str:
     """One record line, byte for byte ``json.dumps(transcript_to_record(t),
     sort_keys=True, separators=(",", ":"))`` for the plain ints, strings and
     enums a transcript holds, written directly with its keys in sorted order."""
-    bob, revealed, success = t.bob_label, t.revealed_label, t.adversary_success
-    return _LINE % (
-        "null" if success is None else "true" if success else "false",
-        "null" if t.bob_random_bit is None else t.bob_random_bit,
-        _LABEL_FIELDS["bob"][-1 if bob is None else bob.index],
-        "null" if t.cause is None else _JSON_STRING(t.cause),
-        "null" if t.coin is None else t.coin,
-        ",".join(map(str, t.multiphoton_slots)),
-        "null" if t.outcome is None else _JSON_STRING(t.outcome.value),
-        "null" if t.pulse_index is None else t.pulse_index,
-        _LABEL_FIELDS["revealed"][-1 if revealed is None else revealed.index],
-        t.rounds,
-        _JSON_STRING(t.verdict.value),
+    return _record_line(t.rounds, t.outcome, t.bob_label, t.bob_random_bit, t.revealed_label, t.verdict,
+                        t.coin, t.cause, t.pulse_index, t.multiphoton_slots, t.adversary_success)
+
+
+def _record_line(rounds, outcome, bob, b_prime, revealed, verdict, coin, cause, pulse_index, slots, success) -> str:
+    """The record writer: one line from a transcript's fields, in field order."""
+    return (
+        f'{{"adversary_success":{"null" if success is None else "true" if success else "false"},'
+        f'"b_prime":{"null" if b_prime is None else b_prime},'
+        f'"bob_basis":{"null" if bob is None else bob.basis},'
+        f'"bob_bit":{"null" if bob is None else bob.bit},'
+        f'"cause":{"null" if cause is None else _JSON_STRING(cause)},'
+        f'"coin":{"null" if coin is None else coin},'
+        f'"multiphoton_slots":[{",".join(map(str, slots))}],'
+        f'"outcome":{"null" if outcome is None else _JSON_STRING(outcome.value)},'
+        f'"pulse_index":{"null" if pulse_index is None else pulse_index},'
+        f'"revealed_basis":{"null" if revealed is None else revealed.basis},'
+        f'"revealed_bit":{"null" if revealed is None else revealed.bit},'
+        f'"rounds":{rounds},"verdict":{_JSON_STRING(verdict.value)}}}'
     )
 
 
@@ -670,17 +662,28 @@ def _weak_coherent(config: RunConfig, strategy, view: RunView, rng: np.random.Ge
     cause.  A run without one aborts after all K slots with cause
     ``no-bsm-success``.  ``multiphoton_slots`` lists every slot in which
     either pulse held two or more photons.  Steps 3–5 of the runs with a
-    success then follow, as one batch.  One run is the one-run batch.
+    success then follow, as one batch.  One run draws the K slots of the
+    one-run batch.
     """
     n, k = view.size, int(config.k_pulses)
     edges = _slot_band_edges(config.y, config.channel, config.detector, config.extended_dark_model)
-    pair = rng.integers(16, size=(n, k))
-    photons_a = rng.poisson(config.mu, size=(n, k))
-    photons_b = rng.poisson(config.mu, size=(n, k))
-    u = rng.random((n, k))
+    pair = rng.integers(16, size=(n or 1, k))
+    photons_a = rng.poisson(config.mu, size=(n or 1, k))
+    photons_b = rng.poisson(config.mu, size=(n or 1, k))
+    u = rng.random((n or 1, k))
 
     column = pair + 32 * (photons_a > 0) + 16 * (photons_b > 0)
     success = u < edges[devices.FAILURE_BAND - 1][column]
+    if n is None:
+        first, slots = int(success[0].argmax()), ((photons_a[0] >= 2) | (photons_b[0] >= 2)).nonzero()[0]
+        multiphoton = tuple((slots + 1).tolist())
+        if not success[0, first]:
+            return k, 0, -1, -1, -1, False, _NO_SUCCESS, None, -1, multiphoton
+        cell = int(column[0, first])
+        band = int((u[0, first] >= edges[:, cell]).sum())
+        decided = _finish(config, strategy, view, rng, first + 1, int(devices.BAND_OUTCOME[band]),
+                          (cell & 15) >> 2, cell & 3, int(devices.BAND_CAUSE[band]))
+        return (*decided, first + 1, multiphoton)
     rows = np.arange(n)
     first = success.argmax(axis=1)  # the first successful slot, or 0 if none
     found = success[rows, first]
@@ -779,11 +782,12 @@ def _route(config: RunConfig, strategy):
     return steps
 
 
-def _batch(config: RunConfig, strategy, rng: np.random.Generator, n: int) -> Optional[_Rows]:
-    """The fields of ``n`` runs drawn as one batch; None, drawing nothing, for ``n`` 0."""
+def _batch(config: RunConfig, strategy, rng: np.random.Generator, n: int) -> list[list]:
+    """The transcript fields of ``n`` runs drawn as one batch, one list per
+    field; for ``n`` 0, one empty list, drawing nothing."""
     validate_int("n", n, 0)
     steps = _route(config, strategy)
-    return steps(config, strategy, RunView(n), rng) if n else None
+    return _fields(steps(config, strategy, RunView(n), rng), n) if n else [[]]
 
 
 def sample_runs(config: RunConfig, strategy, rng: np.random.Generator, n: int) -> list[Transcript]:
@@ -795,16 +799,14 @@ def sample_runs(config: RunConfig, strategy, rng: np.random.Generator, n: int) -
     draws differ from theirs; a one-run batch draws exactly as one single
     run.  ``n`` 0 draws nothing and returns [] once the route is checked.
     """
-    rows = _batch(config, strategy, rng, n)
-    return [] if rows is None else list(map(_transcript, *_columns(rows, n)))
+    return list(map(Transcript, *_batch(config, strategy, rng, n)))
 
 
 def sample_run_lines(config: RunConfig, strategy, rng: np.random.Generator, n: int) -> list[str]:
-    """The record lines of ``sample_runs(config, strategy, rng, n)``, one
-    per run, each equal to its :func:`transcript_json_line`, written straight
-    from the batch's fields."""
-    rows = _batch(config, strategy, rng, n)
-    return [] if rows is None else _json_lines(rows, n)
+    """The record lines of ``sample_runs(config, strategy, rng, n)``, written
+    by the record writer of :func:`transcript_json_line` from the batch's
+    fields without building the transcripts."""
+    return list(map(_record_line, *_batch(config, strategy, rng, n)))
 
 
 def run_with_adversary(config: RunConfig, strategy, rng: np.random.Generator) -> Transcript:
@@ -860,19 +862,26 @@ def run_weak_coherent(config: RunConfig, rng: np.random.Generator) -> Transcript
     the remaining steps.  If every slot fails the run aborts, so this
     variant is not loss tolerant.  Multi-photon emissions are treated as
     "photon present" (no multi-photon interference model) and their slot
-    indices are flagged on the transcript.  This is the one-run batch of
+    indices are flagged on the transcript.  It draws as the one-run batch of
     :func:`sample_weak_coherent_runs`.
     """
-    return sample_weak_coherent_runs(config, rng, 1)[0]
+    if config.mode is not Mode.MDI_WEAK_COHERENT:
+        raise ConfigurationError(f"weak-coherent runs require weak-coherent mode, got {config.mode.value}")
+    return _transcript(*_weak_coherent(config, None, RunView(), rng))
 
 
 # ---------------------------------------------------------------------------
 # Fields to transcripts and record lines
 # ---------------------------------------------------------------------------
 
-_OUTCOMES = (None, BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS)
-_LABELS = (*ALL_LABELS, None)  # index -1: no label
-_VERDICTS = (Verdict.ABORT, Verdict.ACCEPT)
+# Transcript fields by code; where a field can be missing, code -1 (the last
+# entry) is None.
+_OUTCOMES = np.array([None, BsmOutcome.PSI_PLUS, BsmOutcome.PSI_MINUS], dtype=object)
+_LABELS = np.array([*ALL_LABELS, None], dtype=object)
+_BITS = np.array([0, 1, None], dtype=object)
+_SUCCESSES = np.array([False, True, None], dtype=object)
+_VERDICTS = np.array([Verdict.ABORT, Verdict.ACCEPT], dtype=object)
+_CAUSES = np.array(CAUSES, dtype=object)
 
 
 def _transcript(rounds, outcome, bob, b_prime, revealed, accept, cause, success,
@@ -893,50 +902,25 @@ def _transcript(rounds, outcome, bob, b_prime, revealed, accept, cause, success,
     )
 
 
-def _columns(rows: _Rows, n: int) -> list[list]:
-    """A batch's fields as lists of Python values, a shared scalar repeated."""
-    rounds, outcome, bob, b_prime, revealed, accept, cause, success, *weak = rows
-    pulse_index, multiphoton = weak or (-1, [()] * n)
-    return [
-        field.tolist() if isinstance(field, np.ndarray) else [field] * n
-        for field in (rounds, outcome, bob, b_prime, revealed, accept, cause, success, pulse_index)
-    ] + [multiphoton]
-
-
-def _tokens(values) -> np.ndarray:
-    return np.array(values, dtype=object)
-
-
-# JSON tokens of the fields of _LINE by field code; index -1 is null.
-_LABEL_TOKENS = {name: _tokens(fields) for name, fields in _LABEL_FIELDS.items()}
-_BIT_TOKENS = _tokens(["0", "1", "null"])
-_OUTCOME_TOKENS = _tokens([_JSON_STRING(o.value) if o else "null" for o in _OUTCOMES])
-_CAUSE_TOKENS = _tokens([_JSON_STRING(c) if c else "null" for c in CAUSES])
-_SUCCESS_TOKENS = _tokens(["false", "true", "null"])
-_VERDICT_TOKENS = _tokens([_JSON_STRING(v.value) for v in _VERDICTS])
-
-
-def _json_lines(rows: _Rows, n: int) -> list[str]:
-    """:func:`transcript_json_line` of every row, from the batch's fields."""
-    def tokens(table: np.ndarray, codes) -> list:
-        # A field that every row shares is a scalar code.
+def _fields(rows: _Rows, n: int) -> list[list]:
+    """The transcript fields of a batch's rows, one list per field in the
+    order of :class:`Transcript`, a code that every row shares repeated."""
+    def values(table: np.ndarray, codes) -> list:
         return table[codes].tolist() if isinstance(codes, np.ndarray) else [table[codes]] * n
 
     rounds, outcome, bob, b_prime, revealed, accept, cause, success, *weak = rows
-    pulse_index, multiphoton = weak or (None, None)
+    pulse_index, multiphoton = weak or (None, [()] * n)
     accept = accept.astype(np.intp)
-    coin = np.where(accept, (revealed & 1) ^ b_prime, -1)
-    columns = (
-        tokens(_SUCCESS_TOKENS, -1 if success is None else success.astype(np.intp)),
-        tokens(_BIT_TOKENS, b_prime),
-        tokens(_LABEL_TOKENS["bob"], bob),
-        tokens(_CAUSE_TOKENS, cause),
-        tokens(_BIT_TOKENS, coin),
-        [""] * n if multiphoton is None else [",".join(map(str, slots)) for slots in multiphoton],
-        tokens(_OUTCOME_TOKENS, outcome),
-        ["null"] * n if pulse_index is None else ["null" if p < 0 else str(p) for p in pulse_index.tolist()],
-        tokens(_LABEL_TOKENS["revealed"], revealed),
+    return [
         rounds.tolist() if isinstance(rounds, np.ndarray) else [rounds] * n,
-        _VERDICT_TOKENS[accept].tolist(),
-    )
-    return list(map(_LINE.__mod__, zip(*columns)))
+        values(_OUTCOMES, outcome),
+        values(_LABELS, bob),
+        values(_BITS, b_prime),
+        values(_LABELS, revealed),
+        values(_VERDICTS, accept),
+        values(_BITS, np.where(accept, (revealed & 1) ^ b_prime, -1)),
+        values(_CAUSES, cause),
+        [None] * n if pulse_index is None else [None if p < 0 else p for p in pulse_index.tolist()],
+        multiphoton,
+        [None] * n if success is None else values(_SUCCESSES, success.astype(np.intp)),
+    ]

@@ -3,12 +3,14 @@
 ``sample_runs`` draws each stage once for the whole batch, so its draws
 differ from those of single calls while its law is theirs.  Each route's
 batch is gated here against its closed form at 4σ; a one-run batch must
-equal a single call; the record lines written straight from a batch must
-equal the per-transcript writer; and ``run`` streams, which are written in
-batches, are pinned by digest.
+equal a single call; a batch's record lines must equal the transcript
+writer's; and ``run`` streams, which are written in batches, are pinned by
+digest and written in place only once they are complete.
 """
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from conftest import assert_within_sigmas
 from mdiqct import adversaries, analysis, cli, devices, protocol
 from mdiqct.devices import ChannelParams, DetectorParams
-from mdiqct.errors import ConfigurationError, ExhaustionError
+from mdiqct.errors import ConfigurationError, ExhaustionError, ParameterError
 from mdiqct.protocol import (
     Mode,
     RunConfig,
@@ -80,8 +82,8 @@ class TestOneEnginePerRoute:
 
     def test_lines_equal_the_transcript_writer(self, route):
         config, strategy = ROUTES[route]
-        lines = sample_run_lines(config, strategy, np.random.default_rng(seed_of(route)), 3_000)
-        runs = sample_runs(config, strategy, np.random.default_rng(seed_of(route)), 3_000)
+        lines = sample_run_lines(config, strategy, np.random.default_rng(seed_of(route)), 1_000)
+        runs = sample_runs(config, strategy, np.random.default_rng(seed_of(route)), 1_000)
         assert lines == [transcript_json_line(t) for t in runs]
 
     def test_empty_batch_draws_nothing(self, route):
@@ -260,19 +262,24 @@ def test_stream_memory_does_not_grow_with_trials(tmp_path):
     assert large <= 1.5 * small
 
 
-@pytest.mark.parametrize("to_file", [True, False])
-def test_exhaustion_after_the_first_batch_writes_nothing(to_file, tmp_path, monkeypatch, capsys):
+def fail_in_second_batch(monkeypatch, error):
+    """Make ``run``'s second batch raise ``error``; returns the sizes drawn."""
     real = protocol.sample_run_lines
     batches = []
 
-    def exhausted_after_one_batch(config, strategy, rng, n):
-        if n and batches:
-            raise ExhaustionError("no successful projection within 1000000 rounds")
-        if n:
-            batches.append(n)
+    def failing(config, strategy, rng, n):
+        if batches:
+            raise error
+        batches.append(n)
         return real(config, strategy, rng, n)
 
-    monkeypatch.setattr(protocol, "sample_run_lines", exhausted_after_one_batch)
+    monkeypatch.setattr(protocol, "sample_run_lines", failing)
+    return batches
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_exhaustion_after_the_first_batch_writes_nothing(to_file, tmp_path, monkeypatch, capsys):
+    batches = fail_in_second_batch(monkeypatch, ExhaustionError("no successful projection within 1000000 rounds"))
     target = tmp_path / "run.jsonl"
     target.write_text("earlier output\n")
     argv = ["run", "--trials", str(3 * cli.RUN_BATCH_ROWS)] + (["--out", str(target)] if to_file else [])
@@ -282,3 +289,63 @@ def test_exhaustion_after_the_first_batch_writes_nothing(to_file, tmp_path, monk
     assert captured.out == "" and captured.err.startswith("runtime error:")
     assert target.read_text() == "earlier output\n"  # left as it was
     assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]  # no temporary file left behind
+
+
+def test_a_usage_error_in_a_later_batch_is_still_a_usage_error(monkeypatch, capsys):
+    fail_in_second_batch(monkeypatch, ParameterError("refused"))
+    assert cli.main(["run", "--trials", str(2 * cli.RUN_BATCH_ROWS)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: refused\n"
+
+
+# ---------------------------------------------------------------------------
+# --out is written in place
+# ---------------------------------------------------------------------------
+
+# A stream of three batches, larger than the in-memory part of the spool.
+SMALL_BATCHES = ["run", "--trials", "50", "--seed", "9"]
+
+
+@pytest.fixture
+def small_batches(monkeypatch, tmp_path):
+    """Batches of 20 runs and a 1 kB in-memory spool; the expected bytes."""
+    monkeypatch.setattr(cli, "RUN_BATCH_ROWS", 20)
+    monkeypatch.setattr(cli, "SPOOL_BYTES", 1024)
+    reference = tmp_path / "reference.jsonl"
+    assert cli.main([*SMALL_BATCHES, "--out", str(reference)]) == 0
+    expected = reference.read_bytes()
+    reference.unlink()
+    assert len(expected) > 2 * 1024 and expected.count(b"\n") == 50
+    return expected
+
+
+def test_a_fifo_out_receives_the_stream(small_batches, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    # A daemon: were the FIFO replaced rather than opened, its reader would wait forever.
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = cli.main([*SMALL_BATCHES, "--out", str(fifo)])
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 0 and received == [small_batches]
+    assert fifo.is_fifo()
+
+
+def test_a_symlinked_out_writes_through_the_link(small_batches, tmp_path):
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_text("earlier output\n")
+    link.symlink_to(target)
+    assert cli.main([*SMALL_BATCHES, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == small_batches
+
+
+def test_an_existing_out_keeps_its_mode_and_links(small_batches, tmp_path):
+    out, other_name = tmp_path / "run.jsonl", tmp_path / "hard-link.jsonl"
+    out.write_text("earlier output\n")
+    out.chmod(0o640)
+    os.link(out, other_name)
+    assert cli.main([*SMALL_BATCHES, "--out", str(out)]) == 0
+    assert other_name.read_bytes() == small_batches
+    assert out.stat().st_mode & 0o777 == 0o640 and out.stat().st_nlink == 2

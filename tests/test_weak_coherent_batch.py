@@ -155,7 +155,7 @@ class TestRunStreamBatches:
         monkeypatch.setattr(protocol, "sample_run_lines", spy)
         argv = ["run", "--mode", "mdi-weak-coherent", "--k-pulses", str(k), "--trials", str(trials)]
         assert cli.main(argv) == 0
-        assert drawn == [0, *sizes]  # the first call checks the route and draws nothing
+        assert drawn == sizes
         assert len(capsys.readouterr().out.splitlines()) == trials
 
     def test_stream_is_the_batches_in_row_order(self, capsys):
